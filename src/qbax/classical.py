@@ -122,7 +122,8 @@ def h_liouville(cfg: FieldConfig) -> np.ndarray:
     """Per-link gamma H of the lattice Liouville model."""
     A, B, C2, C4 = liouville_bracket_terms(cfg)
     arg = A + B + cfg.kappa**2 * C2 + cfg.kappa**4 * C4
-    assert np.all(arg > 0), "log argument must be positive for real fields"
+    if not np.all(arg > 0):
+        raise ValueError("log argument must be positive for real fields")
     return np.log(arg)
 
 

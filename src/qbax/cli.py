@@ -25,10 +25,18 @@ from .classical import CONTINUUM_MODELS, FIELD_PRESETS, continuum_check
 from .registry import build_checks, run_suite
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: finite and positive (nan would fail every check)."""
+    value = float(text)
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"must be finite and positive: {text}")
+    return value
+
+
 def _run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed for all sampled checks (default 0)")
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", type=_tolerance, default=None,
                         help="override every numeric tolerance "
                              "(default: per-check pinned values)")
     parser.add_argument("--max-sites", type=int, default=3,

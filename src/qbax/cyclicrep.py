@@ -39,7 +39,7 @@ import numpy as np
 
 from .coeff import Coefficient
 from .ncpoly import NCPoly, Presentation
-from .lmatrices import OpMatrix, qdst_charges, L_qdst
+from .lmatrices import OpMatrix, L_qdst, monodromy, qdst_charges, transfer
 
 __all__ = [
     "root_of_unity",
@@ -130,47 +130,34 @@ def glq2ext_rep(N: int, m: int = 1, c: complex = 2.0 + 0.5j) -> dict[str, np.nda
 # generic numeric evaluation
 # --------------------------------------------------------------------------
 
-def _site_operator(g: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    """g acting on tensor factor `site` of n_sites copies (site 0 leftmost)."""
-    N = g.shape[0]
-    factors = [np.eye(N, dtype=complex)] * n_sites
-    factors[site] = g
-    return reduce(np.kron, factors)
-
-
 def numeric_poly(p: NCPoly, rep: dict[str, np.ndarray], n_sites: int,
                  values: dict[str, complex]) -> np.ndarray:
     """Evaluate an operator polynomial on (C^N)^(tensor n_sites).
 
     Words are products of per-site operators from `rep` (keyed by generator
     name; the same matrices are used at every site); coefficients are
-    evaluated at `values`.  Sites must lie in range(n_sites).
+    evaluated at `values`.  Letters on different sites commute, so a word is
+    the Kronecker product (site 0 leftmost) of its per-site products, with the
+    identity on untouched sites.  A site outside range(n_sites) is an error.
     """
     N = next(iter(rep.values())).shape[0]
-    D = N**n_sites
-    cache: dict[tuple[int, int], np.ndarray] = {}
-    out = np.zeros((D, D), dtype=complex)
+    eye = np.eye(N, dtype=complex)
+    out = np.zeros((N**n_sites, N**n_sites), dtype=complex)
     for word, coeff in p.terms.items():
-        mat = np.eye(D, dtype=complex)
+        factors = [eye] * n_sites
         for site, gi in word:
-            key = (site, gi)
-            if key not in cache:
-                cache[key] = _site_operator(rep[p.alg.gens[gi]], site, n_sites)
-            mat = mat @ cache[key]
-        out += complex(coeff.evaluate(values)) * mat
+            if not 0 <= site < n_sites:
+                raise ValueError(f"site {site} is outside range({n_sites})")
+            factors[site] = factors[site] @ rep[p.alg.gens[gi]]
+        out += complex(coeff.evaluate(values)) * reduce(np.kron, factors)
     return out
 
 
 def numeric_opmatrix(M: OpMatrix, rep: dict[str, np.ndarray], n_sites: int,
                      values: dict[str, complex]) -> np.ndarray:
     """Blockwise numeric form, shape (M.n, M.n, D, D)."""
-    N = next(iter(rep.values())).shape[0]
-    D = N**n_sites
-    out = np.zeros((M.n, M.n, D, D), dtype=complex)
-    for i in range(M.n):
-        for j in range(M.n):
-            out[i, j] = numeric_poly(M[i][j], rep, n_sites, values)
-    return out
+    return np.array([[numeric_poly(p, rep, n_sites, values) for p in row]
+                     for row in M.rows])
 
 
 def rep_residuals(alg: Presentation, rep: dict[str, np.ndarray],
@@ -240,29 +227,32 @@ def rll_residual_num(R_builder, L_builder, alg: Presentation,
     return float(np.linalg.norm(res))
 
 
+def _transfers(L_builder, alg: Presentation, rep: dict[str, np.ndarray],
+               n_sites: int, q_val: complex, lams) -> list[np.ndarray]:
+    """T(lam) at each of lams, from one exact transfer built over
+    alg.free_copy(), so the numbers never depend on the rewrite rules."""
+    T = transfer(L_builder, alg.free_copy(), n_sites)
+    return [numeric_poly(T, rep, n_sites, _values(q_val, lam)) for lam in lams]
+
+
 def monodromy_num(L_builder, alg: Presentation, rep: dict[str, np.ndarray],
                   n_sites: int, lam: complex, q_val: complex) -> np.ndarray:
     """Ordered product L(site n-1) ... L(site 0), shape (2, 2, D, D)."""
-    vals = _values(q_val, lam)
-    out = None
-    for s in range(n_sites - 1, -1, -1):
-        Ls = numeric_opmatrix(L_builder(alg, site=s), rep, n_sites, vals)
-        out = Ls if out is None else np.einsum("ikab,kjbc->ijac", out, Ls)
-    return out
+    return numeric_opmatrix(monodromy(L_builder, alg.free_copy(), n_sites),
+                            rep, n_sites, _values(q_val, lam))
 
 
 def transfer_num(L_builder, alg: Presentation, rep: dict[str, np.ndarray],
                  n_sites: int, lam: complex, q_val: complex) -> np.ndarray:
-    M = monodromy_num(L_builder, alg, rep, n_sites, lam, q_val)
-    return M[0, 0] + M[1, 1]
+    """T(lam), the trace of the monodromy, as a D x D matrix."""
+    return _transfers(L_builder, alg, rep, n_sites, q_val, [lam])[0]
 
 
 def transfer_commutator_num(L_builder, alg: Presentation,
                             rep: dict[str, np.ndarray], n_sites: int,
                             x: complex, y: complex, q_val: complex) -> float:
     """|| [T(x), T(y)] ||_F / (||T(x)||_F ||T(y)||_F)."""
-    Tx = transfer_num(L_builder, alg, rep, n_sites, x, q_val)
-    Ty = transfer_num(L_builder, alg, rep, n_sites, y, q_val)
+    Tx, Ty = _transfers(L_builder, alg, rep, n_sites, q_val, (x, y))
     num = np.linalg.norm(Tx @ Ty - Ty @ Tx)
     return float(num / (np.linalg.norm(Tx) * np.linalg.norm(Ty)))
 
@@ -278,8 +268,8 @@ def qdst_charge_fit(alg: Presentation, rep: dict[str, np.ndarray],
     """
     n = n_sites
     M = 2 * n + 1
-    samples = [transfer_num(L_qdst, alg, rep, n, cmath.exp(2j * math.pi * j / M),
-                            q_val) for j in range(M)]
+    samples = _transfers(L_qdst, alg, rep, n, q_val,
+                         [cmath.exp(2j * math.pi * j / M) for j in range(M)])
 
     def fourier(d: int) -> np.ndarray:
         acc = np.zeros_like(samples[0])

@@ -66,6 +66,14 @@ def test_liouville_unit_spacing_value():
     assert h_liouville(cfg)[0] == pytest.approx(2.0 * math.log(1.5), abs=1e-14)
 
 
+def test_liouville_rejects_a_nan_field():
+    # raised, not asserted, so the check survives python -O
+    cfg = FieldConfig(phi=[math.nan, 0.0, 0.0], pi=np.zeros(3), kappa=1.0,
+                      beta=1.0)
+    with pytest.raises(ValueError, match="log argument must be positive"):
+        h_liouville(cfg)
+
+
 def test_freefield_zero_field_value():
     cfg = FieldConfig(phi=np.zeros(4), pi=np.zeros(4), kappa=0.7, beta=1.3)
     assert h_freefield(cfg) == pytest.approx(np.full(4, 2.0 * math.log(4.0)),

@@ -53,6 +53,14 @@ def test_tolerance_override_forces_failure(capsys):
     assert "[FAIL]" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-3", "abc"])
+def test_tolerance_must_be_finite_and_positive(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--filter", "qdilog-unitarity", "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_qdilog_verb(capsys):
     code = main(["qdilog"])
     out = capsys.readouterr().out

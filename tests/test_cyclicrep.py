@@ -1,5 +1,6 @@
 import cmath
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from qbax.catalog import Aq, GLq2Ext, Wq
 from qbax.cyclicrep import (
     glq2ext_rep,
+    monodromy_num,
     numeric_opmatrix,
     numeric_poly,
     qdst_charge_fit,
@@ -20,7 +22,7 @@ from qbax.cyclicrep import (
     transfer_num,
     weyl_rep,
 )
-from qbax.lmatrices import L_qdst, L_weyl, R_sym, transfer
+from qbax.lmatrices import PAIRINGS, L_qdst, L_weyl, R_sym, transfer
 
 
 def test_root_of_unity_validation():
@@ -73,6 +75,64 @@ def test_numeric_poly_against_explicit_kron():
     got = numeric_poly(p, rep, 2, {"q": q, "lam": 2.0, "mu": 1.0})
     want = 4.0 * np.kron(rep["u"], rep["v"])
     assert np.max(np.abs(got - want)) < 1e-13
+    # letters on one site multiply in word order (u v != v u here)
+    p = Wq.gen("u", 0) * Wq.gen("v", 0) * Wq.gen("v", 1)
+    got = numeric_poly(p, rep, 2, {"q": q, "lam": 1.0, "mu": 1.0})
+    want = np.kron(rep["u"] @ rep["v"], rep["v"])
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_numeric_poly_rejects_sites_outside_the_chain():
+    rep = weyl_rep(3)
+    vals = {"q": root_of_unity(3), "lam": 1.0, "mu": 1.0}
+    for site in (2, -1):
+        with pytest.raises(ValueError, match="outside range"):
+            numeric_poly(Wq.gen("u", 0) * Wq.gen("v", site), rep, 2, vals)
+
+
+def _kron_transfer(L_builder, alg, rep, n_sites, vals):
+    """Reference T(lam): every letter as a full-space Kronecker operator,
+    the 2x2 block product L(n-1) ... L(0), then the trace."""
+    N = next(iter(rep.values())).shape[0]
+    D = N**n_sites
+
+    def site_op(g, site):
+        factors = [np.eye(N, dtype=complex)] * n_sites
+        factors[site] = g
+        return reduce(np.kron, factors)
+
+    def entry(p):
+        out = np.zeros((D, D), dtype=complex)
+        for word, coeff in p.terms.items():
+            mat = np.eye(D, dtype=complex)
+            for site, gi in word:
+                mat = mat @ site_op(rep[alg.gens[gi]], site)
+            out += complex(coeff.evaluate(vals)) * mat
+        return out
+
+    M = None
+    for s in range(n_sites - 1, -1, -1):
+        L = L_builder(alg, site=s)
+        Ls = [[entry(L[i][j]) for j in range(2)] for i in range(2)]
+        M = Ls if M is None else [
+            [M[i][0] @ Ls[0][j] + M[i][1] @ Ls[1][j] for j in range(2)]
+            for i in range(2)]
+    return M[0][0] + M[1][1]
+
+
+@pytest.mark.parametrize("name", ["qdst", "osc-hat", "ext-hat"])
+def test_transfer_matches_kron_block_product(name):
+    N, n = 3, 3
+    _, _, L_builder, alg = next(p for p in PAIRINGS if p[0] == name)
+    rep = {Aq.name: qosc_rep, GLq2Ext.name: glq2ext_rep}[alg.name](N)
+    q = root_of_unity(N)
+    for lam in (0.3 + 0.4j, spectral_points(5, 1)[0]):
+        want = _kron_transfer(L_builder, alg, rep, n,
+                              {"q": q, "lam": lam, "mu": 1.0})
+        got = transfer_num(L_builder, alg, rep, n, lam, q)
+        assert np.max(np.abs(got - want)) < 1e-12
+        M = monodromy_num(L_builder, alg, rep, n, lam, q)
+        assert np.max(np.abs(M[0, 0] + M[1, 1] - want)) < 1e-12
 
 
 def test_rll_residual_small_at_spectral_points():
