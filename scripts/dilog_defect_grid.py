@@ -4,7 +4,8 @@
 For each omega the script reports the worst shift-equation, unitarity and
 power-identity defects over a geometric x grid, then the worst functional
 equation defect per kernel identity.  Useful when changing contour
-parameters: rerun with --panel-nodes / --arc-nodes and compare columns.
+parameters: rerun with --panel-nodes / --arc-nodes and compare columns;
+their defaults are DilogParams's, so a bare run maps the shipped rule.
 """
 
 import argparse
@@ -27,8 +28,8 @@ def main() -> None:
     ap.add_argument("--x-decades", type=float, default=2.0,
                     help="x ranges over 10^[-d, d] (default d=2)")
     ap.add_argument("--x-count", type=int, default=9)
-    ap.add_argument("--panel-nodes", type=int, default=24)
-    ap.add_argument("--arc-nodes", type=int, default=64)
+    ap.add_argument("--panel-nodes", type=int, default=DilogParams.panel_nodes)
+    ap.add_argument("--arc-nodes", type=int, default=DilogParams.arc_nodes)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 

@@ -33,6 +33,14 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _jobs(text: str) -> int:
+    """A --jobs value: a positive integer."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text}")
+    return value
+
+
 def _run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed for all sampled checks (default 0)")
@@ -42,7 +50,7 @@ def _run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-sites", type=int, default=3,
                         help="chain-length bound for transfer checks "
                              "(default 3)")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_jobs, default=1,
                         help="worker processes (default 1; results are "
                              "merged in registry order either way)")
     parser.add_argument("--format", choices=("text", "json"), default="text",

@@ -17,10 +17,13 @@ rather than x itself: the integral representation is a function of ell,
 and the functional-equation checks shift arguments by q^{+-2} which can
 push the phase past the principal branch while staying inside the decay
 strip |Im ell| < pi (1 + w^2).  Numerically the contour is truncated at
-+-T with T chosen from the decay rate, and the pole is avoided by a
-semicircle of radius r in the upper half plane; every returned value is
-certified by agreement between two node densities, otherwise
-QuadratureError is raised.
++-T, one T per call from the slowest decay rate among its arguments, and
+the pole is avoided by a semicircle of radius r in the upper half plane.
+A call evaluates all its arguments in one exp pass over a node vector
+that stacks a coarse Gauss-Legendre rule and the same panels at twice the
+density; a two-column weight matrix yields both integrals.  Every value
+is certified by its coarse and fine results agreeing within tol,
+otherwise QuadratureError names the worst argument and its movement.
 
 The phrase "decay strip" above is the actual bound obtained from the
 integrand's asymptotics; it is *smaller* than the looser engineering
@@ -89,13 +92,13 @@ class DilogParams:
     """Evaluation parameters: w and the quadrature knobs.
 
     omega must lie strictly inside (0, 1).  truncation=None picks T from
-    the decay rate of the integrand for each argument (then rounds up for
+    the slowest decay rate among a call's arguments (then rounds up for
     node caching); a fixed value is honoured as given.
     """
 
     omega: float
     pole_radius: float = 0.1
-    panel_nodes: int = 24
+    panel_nodes: int = 12
     arc_nodes: int = 64
     truncation: float | None = None
     tol: float = 1e-9
@@ -151,97 +154,114 @@ def s_compact(x: complex, q: complex, tol: float = 1e-14,
 _TAIL_LOG = 32.0  # exp(-32) ~ 1.3e-14: target tail mass at truncation
 
 
-def fold_decay_rate(omega: complex, ell: complex) -> float:
+def fold_decay_rate(omega: complex, ell):
     """Decay rate of the folded integrand sinh(u t)/(2t sinh(wt) sinh(t/w)).
 
     u = -i ell / (pi w); the denominator grows like exp(Re(w + 1/w) t) and
     the numerator like exp(|Re u| t), so the rate is their difference.  A
-    nonpositive rate means ell is outside the decay strip.
+    nonpositive rate means ell is outside the decay strip.  An array of
+    ell gives an array of rates.
     """
     u = -1j * ell / (math.pi * omega)
     return (omega + 1.0 / omega).real - abs(u.real)
 
 
-@lru_cache(maxsize=256)
-def _axis_nodes(r: float, T: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes on [r, T]: geometric panels up to 1,
-    then length-2 panels.  Returns (nodes, weights)."""
-    x, w = np.polynomial.legendre.leggauss(n)
+@lru_cache(maxsize=16)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(n)  # numpy imports it lazily
+
+
+def _paired(n: int, place) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rules with n and 2n nodes, mapped by place(x, w) and
+    stacked into one node vector with weight columns (coarse, fine)."""
+    (t1, w1), (t2, w2) = (place(*_leggauss(k)) for k in (n, 2 * n))
+    weights = np.zeros((t1.size + t2.size, 2))
+    weights[:t1.size, 0], weights[t1.size:, 1] = w1, w2
+    return np.concatenate([t1, t2]), weights
+
+
+@lru_cache(maxsize=64)
+def _rule(omega: complex, r: float, T: float, n_panel: int, n_arc: int):
+    """Nodes and ell-independent factors of the contour, both densities.
+
+    The axis [r, T] gets composite panels (geometric up to 1, then length
+    2); the arc is theta on [0, pi], run from pi to 0 on the contour, with
+    dt/t cancelling the 1/t of the measure.  Every factor that does not
+    depend on ell is folded into the two-column weights.
+    """
     edges = [r]
     while edges[-1] < 1.0:
         edges.append(min(2.0 * edges[-1], 1.0))
     while edges[-1] < T:
         edges.append(min(edges[-1] + 2.0, T))
-    ts, ws = [], []
-    for a, b in zip(edges, edges[1:]):
-        half = 0.5 * (b - a)
-        ts.append(half * x + 0.5 * (a + b))
-        ws.append(half * w)
-    return np.concatenate(ts), np.concatenate(ws)
-
-
-@lru_cache(maxsize=64)
-def _arc_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes for theta on [0, pi]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * math.pi * (x + 1.0), 0.5 * math.pi * w
-
-
-def _integral_log(ell: complex, omega: complex, r: float, T: float,
-                  n_panel: int, n_arc: int) -> complex:
-    """The contour integral in the exponent of S, as a function of ell.
-
-    Real-axis parts are folded: the t < 0 half combines with t > 0 into
-    sinh(u t) / (2 t sinh(w t) sinh(t / w)), evaluated through explicit
-    exponentials so nothing overflows; the pole is passed above along a
-    semicircle of radius r on which dt/t cancels the 1/t of the measure.
-    """
-    u = -1j * ell / (math.pi * omega)
-
-    t, wts = _axis_nodes(r, T, n_panel)
-    a = omega * t
-    b = t / omega
-    down = -a - b
-    num = np.exp(u * t + down) - np.exp(-u * t + down)
-    den = t * np.expm1(-2 * a) * np.expm1(-2 * b)  # = t (1-e^-2a)(1-e^-2b)
-    axis = np.dot(wts, num / den)
-
-    theta, wth = _arc_nodes(n_arc)
+    lo, hi = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+    t, w_axis = _paired(n_panel, lambda x, w: (
+        (0.5 * (hi - lo) * x + 0.5 * (hi + lo)).ravel(),
+        (0.5 * (hi - lo) * w).ravel()))
+    down = -(omega + 1.0 / omega) * t
+    # the folded integrand is (A - B) / (t (1 - e^-2wt)(1 - e^-2t/w))
+    w_axis = w_axis / (t * np.expm1(-2 * omega * t)
+                       * np.expm1(-2 * t / omega))[:, None]
+    theta, w_arc = _paired(n_arc, lambda x, w: (0.5 * math.pi * (x + 1.0),
+                                                 0.5 * math.pi * w))
     tc = r * np.exp(1j * theta)
-    arc_vals = np.exp(u * tc) / (4.0 * np.sinh(omega * tc) * np.sinh(tc / omega))
-    arc = -1j * np.dot(wth, arc_vals)  # theta runs pi -> 0 on the contour
-
-    return complex(axis + arc)
-
-
-def _eval_log(ell: complex, omega: complex, r: float, T: float,
-              n_panel: int, n_arc: int, tol: float) -> complex:
-    """exp of the contour integral, certified by node doubling."""
-    coarse = _integral_log(ell, omega, r, T, n_panel, n_arc)
-    fine = _integral_log(ell, omega, r, T, 2 * n_panel, 2 * n_arc)
-    s = cmath.exp(fine)
-    if abs(s - cmath.exp(coarse)) > tol:
-        raise QuadratureError(
-            f"node doubling moved S by {abs(s - cmath.exp(coarse)):.3e} "
-            f"(> {tol:.1e}) at ell={ell:.6g}, omega={omega:.6g}")
-    return s
+    w_arc = -1j * w_arc / (4.0 * np.sinh(omega * tc)
+                           * np.sinh(tc / omega))[:, None]
+    return t, down, np.exp(2.0 * down), w_axis, tc, w_arc
 
 
-def s_omega_log(ell: complex, p: DilogParams) -> complex:
-    """S evaluated at x = exp(ell), taking the unwrapped logarithm directly."""
-    rate = fold_decay_rate(p.omega, ell)
-    if rate <= 0.05:
+def _eval_log(ell, omega: complex, r: float, n_panel: int, n_arc: int,
+              tol: float, truncation: float | None = None):
+    """S at each ell: a complex for a scalar, else an array of its shape.
+
+    The call shares one truncation T, the largest any member needs
+    (rounded up so node caches are reused) unless `truncation` fixes it,
+    and one exp pass over the stacked coarse and fine nodes gives both
+    integrals; each value is certified on its own.  On the axis the t < 0
+    half is folded into sinh(u t) / (2 t sinh(w t) sinh(t / w)); as sinh
+    is odd, u is flipped to Re u >= 0, so A = exp(u t + down) cannot
+    overflow and the second exponential is exp(2 down) / A.  Where
+    exp(2 down) underflows that term is below exp(down) < 1e-161 and is
+    taken as zero (A may be subnormal there, and complex division by a
+    subnormal overflows).
+    """
+    shape = np.shape(ell)
+    ells = np.asarray(ell, dtype=complex).ravel()
+    if ells.size == 0:
+        return np.zeros(shape, dtype=complex)
+    rate = fold_decay_rate(omega, ells)
+    i = int(np.argmin(rate))
+    if not rate[i] > 0.05:
         raise DilogDomainError(
-            f"Im(log x) = {complex(ell).imag:.4f} is outside the decay strip "
-            f"|Im log x| < pi (1 + omega^2) = {math.pi * (1 + p.omega**2):.4f} "
+            f"Im(log x) = {ells[i].imag:.4f} is outside the decay strip "
+            f"|Im log x| < pi (1 + omega^2) = {math.pi * (1 + omega**2):.4f} "
             "(or too close to its edge)")
-    if p.truncation is not None:
-        T = float(p.truncation)
-    else:
-        T = max(24.0, _TAIL_LOG / rate)
-        T = 4.0 * math.ceil(T / 4.0)  # quantize so node caches are reused
-    return _eval_log(complex(ell), p.omega, p.pole_radius, T,
-                     p.panel_nodes, p.arc_nodes, p.tol)
+    T = (4.0 * math.ceil(max(24.0, _TAIL_LOG / rate[i]) / 4.0)
+         if truncation is None else float(truncation))
+    t, down, e2, w_axis, tc, w_arc = _rule(omega, r, T, n_panel, n_arc)
+    u = -1j * ells / (math.pi * omega)
+    sign = np.where(u.real < 0, -1.0, 1.0)
+    A = np.exp((sign * u)[:, None] * t + down)
+    B = np.divide(e2, A, out=np.zeros_like(A), where=e2 != 0)
+    s = np.exp(sign[:, None] * ((A - B) @ w_axis)
+               + np.exp(u[:, None] * tc) @ w_arc)
+    move = np.abs(s[:, 1] - s[:, 0])
+    i = int(np.argmax(move))
+    if not move[i] <= tol:
+        raise QuadratureError(
+            f"node doubling moved S by {move[i]:.3e} (> {tol:.1e}) "
+            f"at ell={ells[i]:.6g}, omega={omega:.6g}")
+    return s[:, 1].reshape(shape) if shape else complex(s[0, 1])
+
+
+def s_omega_log(ell, p: DilogParams) -> complex | np.ndarray:
+    """S evaluated at x = exp(ell), taking the unwrapped logarithm directly.
+
+    A scalar ell gives a complex; a sequence gives an array of its shape,
+    evaluated in one pass with one truncation and certified per value.
+    """
+    return _eval_log(ell, p.omega, p.pole_radius, p.panel_nodes, p.arc_nodes,
+                     p.tol, p.truncation)
 
 
 def s_omega(x: complex, p: DilogParams) -> complex:
@@ -261,7 +281,7 @@ def s_omega(x: complex, p: DilogParams) -> complex:
 
 def _rel(lhs: complex, rhs: complex) -> float:
     scale = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs) / scale
+    return float(abs(lhs - rhs) / scale)
 
 
 # --------------------------------------------------------------------------
@@ -272,9 +292,8 @@ def check_shift(omega: float, x: float, p: DilogParams | None = None) -> float:
     """Relative defect of S(q^-1 x) == (1 + x) S(q x) at real x > 0."""
     p = p or DilogParams(omega)
     ell = math.log(x)
-    lhs = s_omega_log(ell - p.log_q, p)
-    rhs = (1.0 + x) * s_omega_log(ell + p.log_q, p)
-    return _rel(lhs, rhs)
+    lhs, rhs = s_omega_log([ell - p.log_q, ell + p.log_q], p)
+    return _rel(lhs, (1.0 + x) * rhs)
 
 
 def check_unitarity(omega: float, x: float, p: DilogParams | None = None) -> float:
@@ -294,12 +313,8 @@ def check_self_dual(omega: float, s: float, p: DilogParams | None = None) -> flo
     left = s_omega_log(2.0 * math.pi * omega * s, p)
     # 1/omega > 1 falls outside DilogParams validation; call the core with
     # independently chosen quadrature knobs.
-    ell2 = 2.0 * math.pi * s / omega
-    rate = fold_decay_rate(1.0 / omega, ell2)
-    if rate <= 0.05:
-        raise DilogDomainError("dual point outside the decay strip")
-    T = 4.0 * math.ceil(max(24.0, _TAIL_LOG / rate) / 4.0)
-    right = _eval_log(ell2, 1.0 / omega, 0.17, T, 20, 48, p.tol)
+    right = _eval_log(2.0 * math.pi * s / omega, 1.0 / omega, 0.17, 20, 48,
+                      p.tol)
     return _rel(left, right)
 
 
@@ -317,11 +332,7 @@ def check_product_consistency(omega: complex, x: float,
     if om.imag <= 0:
         raise DilogDomainError("needs Im(omega) > 0 so both products converge")
     ell = math.log(x)
-    rate = fold_decay_rate(om, ell)
-    if rate <= 0.05:
-        raise DilogDomainError("outside the decay strip at complex omega")
-    T = 4.0 * math.ceil(max(24.0, _TAIL_LOG / rate) / 4.0)
-    integral = _eval_log(ell, om, 0.1, T, 24, 64, 1e-8)
+    integral = _eval_log(ell, om, 0.1, 24, 64, 1e-8)
     q = cmath.exp(1j * cmath.pi * om * om)
     q_hat = cmath.exp(-1j * cmath.pi / (om * om))
     num = s_compact(x, q, tol)
@@ -344,13 +355,12 @@ def check_ssw(omega: float, w: float, t: float,
     lq = p.log_q
     ell = math.log(w)
     wt = cmath.exp(t * ell)
-
-    def S(e: complex) -> complex:
-        return s_omega_log(e, p)
-
-    one = S(ell - t * lq) * S(-ell + t * lq) / (S(ell + t * lq) * S(-ell - t * lq))
-    two = (cmath.exp(t * t * lq) * S(ell - 2 * t * lq) * S(-ell + 2 * t * lq)
-           / (S(ell) * S(-ell)))
+    # S(e) S(-e) at e = ell - t lq, ell + t lq, ell - 2t lq, ell
+    e = ell + np.array([-t, t, -2.0 * t, 0.0]) * lq
+    s = s_omega_log(np.concatenate([e, -e]), p)
+    pair = s[:4] * s[4:]
+    one = pair[0] / pair[1]
+    two = cmath.exp(t * t * lq) * pair[2] / pair[3]
     return max(_rel(wt, one), _rel(wt, two))
 
 
@@ -369,35 +379,26 @@ def check_feq(feq_id: str, omega: float, lam: float, w: float,
     if lam <= 0 or w <= 0:
         raise DilogDomainError("lam and w must be positive")
     q, lq = p.q, p.log_q
-    ell = math.log(w)
-    s = math.log(lam) / lq  # q^s = lam
-
-    def S(e: complex) -> complex:
-        return s_omega_log(e, p)
-
     ll = math.log(lam)
-    if feq_id == "rw":
-        def R0(e: complex) -> complex:
-            return S(e - ll) / S(e + ll) * cmath.exp(-0.5 * s * e)
-
-        lhs = R0(ell) * (lam + w / q)
-        rhs = (1.0 + lam * w / q) * R0(ell - 2.0 * lq)
-    elif feq_id == "rw3":
-        def R2(e: complex) -> complex:
-            return S(e - 2.0 * ll) / S(e + 2.0 * ll) * cmath.exp(-s * e)
-
-        lhs = R2(ell) * (lam * q / w + 1.0 / lam)
-        rhs = (q / (lam * w) + lam) * R2(ell - 2.0 * lq)
-    elif feq_id == "rbd3pp":
-        def G(e: complex) -> complex:
-            return S(e - ll) / S(e + ll)
-
-        lhs = G(ell) * (lam + 1.0 / (q * w))
-        rhs = (1.0 / lam + 1.0 / (q * w)) * G(ell + 2.0 * lq)
+    s = ll / lq  # q^s = lam
+    # kernel K(e) = S(e - k ll) / S(e + k ll) * exp(-c s e), compared at
+    # e = log w and at log w + shift
+    if feq_id == "rw":  # R0
+        k, c, shift = 1.0, 0.5, -2.0 * lq
+        left, right = lam + w / q, 1.0 + lam * w / q
+    elif feq_id == "rw3":  # R2
+        k, c, shift = 2.0, 1.0, -2.0 * lq
+        left, right = lam * q / w + 1.0 / lam, q / (lam * w) + lam
+    elif feq_id == "rbd3pp":  # G
+        k, c, shift = 1.0, 0.0, 2.0 * lq
+        left, right = lam + 1.0 / (q * w), 1.0 / lam + 1.0 / (q * w)
     else:
         raise ValueError(f"unknown functional equation id {feq_id!r}; "
                          f"known: {FEQ_IDS}")
-    return _rel(lhs, rhs)
+    e = math.log(w) + np.array([0.0, shift])
+    sv = s_omega_log(np.concatenate([e - k * ll, e + k * ll]), p)
+    kernel = sv[:2] / sv[2:] * np.exp(-c * s * e)
+    return _rel(kernel[0] * left, right * kernel[1])
 
 
 def kernel_ratio_rv5_rv3(omega: float, lam: float, w: float,
@@ -413,10 +414,7 @@ def kernel_ratio_rv5_rv3(omega: float, lam: float, w: float,
     ell = math.log(w)
     ll = math.log(lam)
     s = ll / p.log_q
-
-    def S(e: complex) -> complex:
-        return s_omega_log(e, p)
-
-    r0 = S(ell - ll) / S(ell + ll) * cmath.exp(-0.5 * s * ell)
-    r5 = S(ell) * S(-ell) / (S(ell + ll) * S(-ell + ll))
+    a, b, c, d, e = s_omega_log([ell - ll, ell + ll, ell, -ell, -ell + ll], p)
+    r0 = a / b * cmath.exp(-0.5 * s * ell)
+    r5 = c * d / (b * e)
     return r0 / r5

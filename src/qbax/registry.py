@@ -23,6 +23,7 @@ import cmath
 import fnmatch
 import json
 import math
+import os
 import time
 import zlib
 from dataclasses import dataclass
@@ -590,7 +591,11 @@ def build_checks(seed: int = 0, tol: float | None = None,
     tol=None keeps each numeric check's pinned tolerance; a float replaces
     all of them uniformly.  Symbolic identity checks are exact and ignore
     tol.  max_sites bounds the chain length of the transfer checks.
+    A tol that is not finite and positive raises ValueError: nan or a
+    nonpositive value would fail every numeric check.
     """
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     checks = [Check(i.check_id, i.claim, i.fn) for i in IDENTITIES.values()]
     checks += _qdilog_checks(seed, tol)
     checks += _rep_checks(seed, tol, max_sites)
@@ -636,16 +641,21 @@ def run_suite(pattern: str | None = None, seed: int = 0,
 
     pattern is a comma-separated list of id globs; a filter that matches
     nothing yields a warning plus an empty report rather than an error.
-    With jobs > 1 checks are distributed over worker processes; results
-    are merged in registry order either way, so reports are identical.
+    With jobs > 1 checks are distributed over at most min(jobs, number of
+    selected checks, CPU count) worker processes; results are merged in
+    registry order either way, so reports are identical.  jobs < 1 raises
+    ValueError.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs!r}")
     checks = build_checks(seed=seed, tol=tol, max_sites=max_sites)
     selected, warnings = _select(checks, pattern)
-    if jobs > 1 and len(selected) > 1:
+    workers = min(jobs, len(selected), os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing as mp
 
         ctx = mp.get_context()
-        with ctx.Pool(processes=min(jobs, len(selected)),
+        with ctx.Pool(processes=workers,
                       initializer=_worker_init,
                       initargs=(seed, tol, max_sites)) as pool:
             results = pool.map(_worker_run, [c.check_id for c in selected])

@@ -61,6 +61,14 @@ def test_tolerance_must_be_finite_and_positive(capsys, tol):
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2", "1.5", "many"])
+def test_jobs_must_be_a_positive_integer(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--filter", "qdilog-unitarity", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_qdilog_verb(capsys):
     code = main(["qdilog"])
     out = capsys.readouterr().out

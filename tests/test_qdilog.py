@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from qbax.qdilog import (
@@ -98,12 +99,44 @@ def test_domain_rejections():
     assert fold_decay_rate(om, ell) <= 0.05
     with pytest.raises(DilogDomainError):
         s_omega_log(ell, p)
+    with pytest.raises(DilogDomainError):  # one bad member fails the batch
+        s_omega_log([0.2, ell, -0.4], p)
 
 
 def test_quadrature_certificate_triggers_on_node_starvation():
     p = DilogParams(0.5, panel_nodes=2, arc_nodes=4, tol=1e-13)
     with pytest.raises(QuadratureError):
         s_omega_log(math.log(2.0), p)
+    with pytest.raises(QuadratureError, match="node doubling moved S"):
+        s_omega_log([0.1, math.log(2.0), -0.5 + 0.3j], p)
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation
+# ---------------------------------------------------------------------------
+
+def test_array_call_matches_scalar_calls():
+    p = DilogParams(0.7)
+    ells = [0.3, -1.1 + 0.4j, 2.5 - 0.9j, 0.0, -0.3 - 1.6j]
+    batch = s_omega_log(ells, p)
+    assert isinstance(batch, np.ndarray) and batch.shape == (5,)
+    for ell, value in zip(ells, batch):
+        single = s_omega_log(ell, p)
+        assert type(single) is complex
+        assert abs(single - value) < 1e-12
+    assert s_omega_log([], p).shape == (0,)
+
+
+def test_mixed_truncation_batch_matches_denser_rule():
+    om = 0.5
+    edge = 0.3 + 3.7699j  # decay rate 0.1, so the batch truncates at T >= 200
+    assert fold_decay_rate(om, edge) < 0.16
+    ells = [0.4, -1.2 + 0.5j, edge, 2.0 - 1.0j, -edge]
+    batch = s_omega_log(ells, DilogParams(om))
+    assert np.isfinite(batch).all()
+    dense = DilogParams(om, panel_nodes=24)
+    for ell, value in zip(ells, batch):
+        assert abs(s_omega_log(ell, dense) - value) < 1e-10
 
 
 # ---------------------------------------------------------------------------

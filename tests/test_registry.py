@@ -1,9 +1,12 @@
 """Check registry: selection, determinism, parallel merge, report formats."""
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
+from qbax import registry
 from qbax.registry import (
     Check,
     SkipCheck,
@@ -123,3 +126,52 @@ def test_glob_selection_counts(pattern, expected):
     report = run_suite(pattern=pattern)
     assert len(report.results) == expected
     assert report.ok
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_tol_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol"):
+        run_suite(pattern="qdilog-unitarity", tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        build_checks(tol=tol)
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_is_rejected(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        run_suite(pattern="classical-*", jobs=jobs)
+
+
+class _InlinePool:
+    """Stands in for multiprocessing.Pool: records its size, runs inline."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes, initializer, initargs):
+        self.sizes.append(processes)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize("jobs, cpus, expected", [
+    (64, 2, 2),    # capped by the CPU count
+    (64, 64, 6),   # capped by the number of selected checks
+    (3, 64, 3),    # as asked
+])
+def test_pool_size_is_clamped(monkeypatch, jobs, cpus, expected):
+    pattern = "classical-zero-*,classical-volterra-*,classical-toda-*"
+    monkeypatch.setattr(multiprocessing.get_context(), "Pool", _InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(registry, "_WORKER_CHECKS", {})
+    report = run_suite(pattern=pattern, seed=3, jobs=jobs)
+    assert _InlinePool.sizes == [expected]
+    assert report.to_json() == run_suite(pattern=pattern, seed=3).to_json()
