@@ -25,32 +25,39 @@ from .classical import CONTINUUM_MODELS, FIELD_PRESETS, continuum_check
 from .registry import build_checks, run_suite
 
 
-def _tolerance(text: str) -> float:
-    """A --tol value: finite and positive (nan would fail every check)."""
+def _positive(text: str) -> float:
+    """A finite, positive float (a nan --tol would fail every check)."""
     value = float(text)
     if not math.isfinite(value) or value <= 0:
         raise argparse.ArgumentTypeError(f"must be finite and positive: {text}")
     return value
 
 
-def _jobs(text: str) -> int:
-    """A --jobs value: a positive integer."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {text}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}: {text}")
+        return value
+    return parse
 
 
 def _run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed for all sampled checks (default 0)")
-    parser.add_argument("--tol", type=_tolerance, default=None,
+    parser.add_argument("--tol", type=_positive, default=None,
                         help="override every numeric tolerance "
                              "(default: per-check pinned values)")
-    parser.add_argument("--max-sites", type=int, default=3,
-                        help="chain-length bound for transfer checks "
-                             "(default 3)")
-    parser.add_argument("--jobs", type=_jobs, default=1,
+    parser.add_argument("--max-sites", type=_int_at_least(1), default=3,
+                        help="chain-length bound for the numeric rep-* "
+                             "transfer checks, which use at most 3 sites "
+                             "(default 3); the exact transfer-commute-* "
+                             "checks always use 2 and 3 sites")
+    parser.add_argument("--jobs", type=_int_at_least(1), default=1,
                         help="worker processes (default 1; results are "
                              "merged in registry order either way)")
     parser.add_argument("--format", choices=("text", "json"), default="text",
@@ -90,13 +97,15 @@ def _cmd_continuum(args: argparse.Namespace) -> int:
         try:
             kappas = [float(t) for t in args.kappa_list.split(",") if t]
         except ValueError:
+            kappas = []
+        if not kappas or not all(k > 0 for k in kappas):  # nan fails too
             print(f"bad --kappa-list {args.kappa_list!r}: expected "
-                  "comma-separated floats", file=sys.stderr)
+                  "comma-separated positive floats", file=sys.stderr)
             return 2
         site_counts = [round(args.length / k) for k in kappas]
-        if any(n < 2 for n in site_counts):
-            print("every kappa must fit at least two sites into the box",
-                  file=sys.stderr)
+        if len(site_counts) < 2 or any(n < 2 for n in site_counts):
+            print("--kappa-list needs at least two spacings, each fitting at "
+                  "least two sites into the box", file=sys.stderr)
             return 2
     fields = FIELD_PRESETS[args.field](args.length)
     rep = continuum_check(args.model, beta=args.beta, length=args.length,
@@ -169,12 +178,12 @@ def _parser() -> argparse.ArgumentParser:
         "continuum", help="emit a (kappa, error, order) table for one model")
     p_cont.add_argument("--model", required=True,
                         choices=sorted(CONTINUUM_MODELS))
-    p_cont.add_argument("--beta", type=float, default=1.0)
-    p_cont.add_argument("--length", type=float, default=1.0)
-    p_cont.add_argument("--n0", type=int, default=16,
+    p_cont.add_argument("--beta", type=_positive, default=1.0)
+    p_cont.add_argument("--length", type=_positive, default=1.0)
+    p_cont.add_argument("--n0", type=_int_at_least(2), default=16,
                         help="coarsest site count of the halving ladder")
-    p_cont.add_argument("--levels", type=int, default=4,
-                        help="number of halvings (default 4)")
+    p_cont.add_argument("--levels", type=_int_at_least(2), default=4,
+                        help="number of ladder levels, at least 2 (default 4)")
     p_cont.add_argument("--kappa-list", default=None,
                         help="explicit comma-separated spacings (each is "
                              "rounded to a whole number of sites); "

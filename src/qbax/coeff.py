@@ -1,9 +1,12 @@
 """Exact Laurent-polynomial coefficients over the rationals.
 
 Coefficients of the noncommutative layer live in Q[q^±1, lam^±1, mu^±1, ...]:
-multivariate Laurent polynomials with `fractions.Fraction` values, stored as a
-mapping from integer exponent tuples to rationals.  Everything is exact; no
-floats enter until a caller explicitly evaluates at numeric parameter values.
+multivariate Laurent polynomials stored as a mapping from integer exponent
+tuples to exact rationals: an `int` when integral (most are, and int arithmetic
+is far cheaper), a `fractions.Fraction` otherwise; 2 == Fraction(2) with equal
+hashes.  Everything is exact; no floats enter until a caller explicitly
+evaluates at numeric parameter values.  Coefficients are never mutated after
+construction, so an operation may return an operand (one times x is x).
 
 The variable tuple travels with each instance so different modules can use
 different parameter sets (the lattice algebra uses ("q", "lam", "mu"), the
@@ -14,6 +17,7 @@ operation is a bug and raises.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 __all__ = ["Coefficient", "QLM"]
@@ -22,8 +26,14 @@ __all__ = ["Coefficient", "QLM"]
 # and the two spectral parameters appearing in exchange relations.
 QLM = ("q", "lam", "mu")
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _num(value) -> int | Fraction:
+    """An exact rational value: an int when integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class Coefficient:
@@ -31,13 +41,13 @@ class Coefficient:
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, vars: tuple[str, ...], terms: Mapping[tuple[int, ...], Fraction] | None = None):
+    def __init__(self, vars: tuple[str, ...], terms: Mapping[tuple[int, ...], int | Fraction] | None = None):
         self.vars = vars
-        self.terms: dict[tuple[int, ...], Fraction] = {}
+        self.terms: dict[tuple[int, ...], int | Fraction] = {}
         if terms:
             for expo, val in terms.items():
                 if val:
-                    self.terms[expo] = Fraction(val)
+                    self.terms[expo] = _num(val)
 
     # ---------------------------------------------------------------- builders
     @classmethod
@@ -50,7 +60,7 @@ class Coefficient:
 
     @classmethod
     def rational(cls, value, vars: tuple[str, ...] = QLM) -> "Coefficient":
-        value = Fraction(value)
+        value = _num(value)
         if not value:
             return cls(vars)
         return cls(vars, {(0,) * len(vars): value})
@@ -60,7 +70,7 @@ class Coefficient:
         """`scale * name**power` as a one-term Laurent polynomial."""
         expo = [0] * len(vars)
         expo[vars.index(name)] = power
-        scale = Fraction(scale)
+        scale = _num(scale)
         if not scale:
             return cls(vars)
         return cls(vars, {tuple(expo): scale})
@@ -70,7 +80,7 @@ class Coefficient:
         expo = [0] * len(vars)
         for name, p in powers.items():
             expo[vars.index(name)] = p
-        scale = Fraction(scale)
+        scale = _num(scale)
         if not scale:
             return cls(vars)
         return cls(vars, {tuple(expo): scale})
@@ -80,7 +90,7 @@ class Coefficient:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * len(self.vars): _ONE}
+        return len(self.terms) == 1 and self.terms.get((0,) * len(self.vars)) == 1
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -88,11 +98,11 @@ class Coefficient:
     def constant_value(self) -> Fraction:
         """The rational value, if no variable actually occurs; raises otherwise."""
         if not self.terms:
-            return _ZERO
+            return Fraction(0)
         ((expo, val),) = self.terms.items() if len(self.terms) == 1 else ((None, None),)
         if expo is None or any(expo):
             raise ValueError(f"not a constant: {self}")
-        return val
+        return Fraction(val)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -111,12 +121,13 @@ class Coefficient:
 
     # ------------------------------------------------------------- arithmetic
     def __add__(self, other: "Coefficient") -> "Coefficient":
-        self._check(other)
+        if self.vars != other.vars:
+            self._check(other)
         out = dict(self.terms)
         for expo, val in other.terms.items():
-            s = out.get(expo, _ZERO) + val
+            s = out.get(expo, 0) + val
             if s:
-                out[expo] = s
+                out[expo] = _num(s)
             else:
                 out.pop(expo, None)
         res = Coefficient(self.vars)
@@ -132,38 +143,47 @@ class Coefficient:
         return self + (-other)
 
     def __mul__(self, other) -> "Coefficient":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Coefficient:
             return self.scale(other)
-        self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, v1 in self.terms.items():
-            for e2, v2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(expo, _ZERO) + v1 * v2
+        if self.vars != other.vars:
+            self._check(other)
+        # the product is commutative: let `small` be the side with fewer terms
+        small, big = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
+        if len(small.terms) == 1:
+            if small.is_one():
+                return big
+            if big.is_one():
+                return small
+            # a monomial shifts exponents one-to-one: no two products collide
+            ((e1, v1),) = small.terms.items()
+            res = Coefficient(self.vars)
+            res.terms = {tuple(map(add, e1, e2)): _num(v1 * v2) for e2, v2 in big.terms.items()}
+            return res
+        out: dict[tuple[int, ...], int | Fraction] = {}
+        for e1, v1 in small.terms.items():
+            for e2, v2 in big.terms.items():
+                expo = tuple(map(add, e1, e2))
+                s = out.get(expo, 0) + v1 * v2
                 if s:
                     out[expo] = s
                 else:
                     out.pop(expo, None)
         res = Coefficient(self.vars)
-        res.terms = out
+        res.terms = {expo: _num(val) for expo, val in out.items()}
         return res
 
     __rmul__ = __mul__
 
     def scale(self, value) -> "Coefficient":
-        value = Fraction(value)
+        value = _num(value)
         res = Coefficient(self.vars)
         if value:
-            res.terms = {expo: val * value for expo, val in self.terms.items()}
+            res.terms = {expo: _num(val * value) for expo, val in self.terms.items()}
         return res
 
     def __pow__(self, n: int) -> "Coefficient":
         if n < 0:
-            if not self.is_monomial():
-                raise ValueError("negative powers only for monomials")
-            ((expo, val),) = self.terms.items()
-            inv = Coefficient(self.vars, {tuple(-e for e in expo): 1 / val})
-            return inv ** (-n)
+            return self.monomial_inverse() ** (-n)
         result = Coefficient.one(self.vars)
         base = self
         while n:
@@ -177,7 +197,7 @@ class Coefficient:
         if not self.is_monomial():
             raise ValueError(f"not invertible as a Laurent monomial: {self}")
         ((expo, val),) = self.terms.items()
-        return Coefficient(self.vars, {tuple(-e for e in expo): 1 / val})
+        return Coefficient(self.vars, {tuple(-e for e in expo): Fraction(1) / val})
 
     # ------------------------------------------------------------ conjugation
     def conj_param(self, name: str) -> "Coefficient":
@@ -194,7 +214,7 @@ class Coefficient:
         """Substitute src^n ↦ Π dst^n (e.g. lam ↦ lam·mu, or a rename lam ↦ mu)."""
         i = self.vars.index(src)
         dst_idx = [self.vars.index(d) for d in dsts]
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for expo, val in self.terms.items():
             n = expo[i]
             e = list(expo)
@@ -202,9 +222,9 @@ class Coefficient:
             for j in dst_idx:
                 e[j] += n
             key = tuple(e)
-            s = out.get(key, _ZERO) + val
+            s = out.get(key, 0) + val
             if s:
-                out[key] = s
+                out[key] = _num(s)
             else:
                 out.pop(key, None)
         res = Coefficient(self.vars)

@@ -338,12 +338,16 @@ def _normal_form(alg: Presentation, raw: Mapping[Word, Coefficient]) -> dict[Wor
         # Reduce site by site and multiply the local results back out.
         combos: list[tuple[Word, Coefficient]] = [((), coeff)]
         for s in sorted(by_site):
-            local = alg.reduce_local(tuple(by_site[s]))
-            combos = [
-                (w + tuple((s, g) for g in lw), c * lc)
-                for (w, c) in combos
-                for (lw, lc) in local.items()
-            ]
+            lw = tuple(by_site[s])
+            local = alg.reduce_local(lw)
+            if lw in local:
+                # already normal: rules only make words smaller, so lw
+                # survives only if none applied, alone and with coefficient 1
+                tail = tuple((s, g) for g in lw)
+                combos = [(w + tail, c) for (w, c) in combos]
+                continue
+            tails = [(tuple((s, g) for g in w2), c2) for w2, c2 in local.items()]
+            combos = [(w + tail, c * lc) for (w, c) in combos for (tail, lc) in tails]
         for w, c in combos:
             acc = out.get(w)
             s2 = c if acc is None else acc + c

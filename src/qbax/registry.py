@@ -590,12 +590,16 @@ def build_checks(seed: int = 0, tol: float | None = None,
 
     tol=None keeps each numeric check's pinned tolerance; a float replaces
     all of them uniformly.  Symbolic identity checks are exact and ignore
-    tol.  max_sites bounds the chain length of the transfer checks.
-    A tol that is not finite and positive raises ValueError: nan or a
-    nonpositive value would fail every numeric check.
+    tol.  max_sites bounds the chain length of the numeric rep-* transfer
+    checks (at most 3 sites; the exact transfer-commute-* identities always
+    use 2 and 3).  A tol that is not finite and positive raises ValueError:
+    nan or a nonpositive value would fail every numeric check; so does a
+    max_sites below 1.
     """
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_sites < 1:
+        raise ValueError(f"max_sites must be at least 1, got {max_sites!r}")
     checks = [Check(i.check_id, i.claim, i.fn) for i in IDENTITIES.values()]
     checks += _qdilog_checks(seed, tol)
     checks += _rep_checks(seed, tol, max_sites)

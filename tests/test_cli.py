@@ -69,6 +69,15 @@ def test_jobs_must_be_a_positive_integer(capsys, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_sites", ["0", "-3", "2.5", "x"])
+def test_max_sites_must_be_a_positive_integer(capsys, max_sites):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--filter", "rep-transfer-commute",
+              "--max-sites", max_sites])
+    assert exc.value.code == 2
+    assert "--max-sites" in capsys.readouterr().err
+
+
 def test_qdilog_verb(capsys):
     code = main(["qdilog"])
     out = capsys.readouterr().out
@@ -159,3 +168,31 @@ def test_report_json(capsys):
     assert code == 0
     assert len(entries) == 110
     assert all(e["id"] and e["claim"] for e in entries)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--kappa-list", "0.1,0"],
+    ["--kappa-list", "nan"],
+    ["--kappa-list", "nan,0.1"],
+    ["--kappa-list", "inf,0.1"],
+    ["--kappa-list=-0.1,0.05"],
+    ["--kappa-list", "0.125"],
+    ["--length", "0"],
+    ["--length", "-1"],
+    ["--length", "nan"],
+    ["--beta", "0"],
+    ["--beta", "inf"],
+    ["--n0", "1"],
+    ["--n0", "2.5"],
+    ["--levels", "-1"],
+    ["--levels", "1"],
+])
+def test_continuum_bad_input_is_a_usage_error(capsys, flags):
+    # each of these used to end in a traceback (ZeroDivisionError, a nan
+    # conversion or a bare ValueError from continuum_check)
+    try:
+        code = main(["classical", "continuum", "--model", "liouville", *flags])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert flags[0].split("=")[0] in capsys.readouterr().err

@@ -130,3 +130,111 @@ def test_evaluate_is_a_homomorphism(a, b):
 @given(coefficients())
 def test_conj_is_an_involution(a):
     assert a.conj_param("q").conj_param("q") == a
+
+
+# ---------------------------------------------------------------------------
+# stored values: int when integral, Fraction otherwise; fast paths
+# ---------------------------------------------------------------------------
+
+def _canonical(c: Coefficient) -> bool:
+    """Every value is an int, or a Fraction that is not integral."""
+    return all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
+               for v in c.terms.values())
+
+
+def _ref_combine(a: dict, b: dict, mul: bool) -> dict:
+    """Naive dict-of-Fraction product (mul) or sum of two term mappings."""
+    out: dict = {}
+    if mul:
+        for e1, v1 in a.items():
+            for e2, v2 in b.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, Fraction(0)) + Fraction(v1) * Fraction(v2)
+    else:
+        for e, v in list(a.items()) + list(b.items()):
+            out[e] = out.get(e, Fraction(0)) + Fraction(v)
+    return {e: v for e, v in out.items() if v}
+
+
+_values = st.one_of(st.integers(-9, 9),
+                    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)))
+_expos = st.tuples(*[st.integers(-3, 3)] * len(QLM))
+
+
+@st.composite
+def operands(draw):
+    """A unit, monomial or dense coefficient with mixed int/Fraction values."""
+    kind = draw(st.sampled_from(["unit", "monomial", "dense"]))
+    if kind == "unit":
+        return Coefficient.one()
+    size = 1 if kind == "monomial" else draw(st.integers(0, 5))
+    terms = draw(st.dictionaries(_expos, _values.filter(bool),
+                                 min_size=size, max_size=size))
+    return Coefficient(QLM, terms)
+
+
+@given(operands(), operands(), _values)
+def test_arithmetic_matches_a_fraction_reference(a, b, k):
+    ra, rb = dict(a.terms), dict(b.terms)
+    neg_b = {e: -Fraction(v) for e, v in rb.items()}
+    for got, want in ((a * b, _ref_combine(ra, rb, mul=True)),
+                      (b * a, _ref_combine(rb, ra, mul=True)),
+                      (a + b, _ref_combine(ra, rb, mul=False)),
+                      (a - b, _ref_combine(ra, neg_b, mul=False)),
+                      (a.scale(k), _ref_combine(ra, {(0,) * len(QLM): k}, mul=True)),
+                      (a * k, _ref_combine(ra, {(0,) * len(QLM): k}, mul=True))):
+        assert got.terms == want
+        assert _canonical(got)
+    # the operands are left as they were
+    assert a.terms == ra and b.terms == rb
+
+
+def test_values_are_int_when_integral_and_never_float():
+    half = Fraction(1, 2)
+    made = [
+        Coefficient(QLM, {(1, 0, 0): Fraction(4, 2), (0, 1, 0): half, (0, 0, 1): 3.0}),
+        Coefficient.rational(0.5),
+        Coefficient.rational(Fraction(6, 3)),
+        Coefficient.param("q", 2, scale=2.0),
+        Coefficient.monomial(QLM, Fraction(9, 3), lam=1),
+        q(scale=half) * q(scale=2),
+        q(scale=half) + q(scale=half),
+        q(scale=half).scale(4),
+        (lam(scale=half) + lam(-1, scale=half)).spread_param("lam", ()),
+        Coefficient.monomial(QLM, half, q=1).monomial_inverse(),
+        Coefficient.monomial(QLM, Fraction(2, 3), q=1) ** -2,
+    ]
+    for c in made:
+        assert _canonical(c), c.terms
+    assert made[0].terms == {(1, 0, 0): 2, (0, 1, 0): half, (0, 0, 1): 3}
+    assert made[5].terms == {(2, 0, 0): 1}
+    assert made[10].terms == {(-2, 0, 0): Fraction(9, 4)}
+    # constant_value keeps returning a Fraction
+    assert type(Coefficient.rational(2).constant_value()) is Fraction
+    assert type(Coefficient.zero().constant_value()) is Fraction
+    # an int and an equal Fraction value give equal, equally hashed coefficients
+    a = Coefficient(QLM, {(0, 0, 0): 2})
+    b = Coefficient(QLM, {(0, 0, 0): Fraction(2)})
+    assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("value, inverse", [
+    (2, Fraction(1, 2)), (3, Fraction(1, 3)), (Fraction(1, 3), 3),
+    (Fraction(-2, 3), Fraction(-3, 2))])
+def test_monomial_inverse_is_exact(value, inverse):
+    m = Coefficient.monomial(QLM, value, q=1)
+    inv = m.monomial_inverse()
+    assert inv.terms == {(-1, 0, 0): inverse}
+    assert type(inv.terms[(-1, 0, 0)]) is type(inverse)
+    assert (m ** -1).terms == inv.terms
+    assert (m * inv).is_one()
+
+
+def test_shared_unit_operand_is_left_unchanged():
+    x = q() + lam(2, scale=Fraction(1, 3))
+    snapshot = dict(x.terms)
+    y = Coefficient.one() * x  # may return x itself
+    further = [y * y, y + y, y - x, y.scale(5), -y, y * lam(),
+               y.spread_param("lam", ("mu",)), y.conj_param("q"), y ** 2]
+    assert further[0] == further[-1] and further[2].is_zero()
+    assert x.terms == snapshot and y.terms == snapshot

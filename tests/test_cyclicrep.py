@@ -1,11 +1,12 @@
 import cmath
 import math
+import random
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from qbax.catalog import Aq, GLq2Ext, Wq
+from qbax.catalog import Aq, GLq2, GLq2Ext, Wq
 from qbax.cyclicrep import (
     glq2ext_rep,
     monodromy_num,
@@ -23,6 +24,8 @@ from qbax.cyclicrep import (
     weyl_rep,
 )
 from qbax.lmatrices import PAIRINGS, L_qdst, L_weyl, R_sym, transfer
+from qbax.ncpoly import random_poly
+from qbax.registry import _REP_FACTORIES
 
 
 def test_root_of_unity_validation():
@@ -183,3 +186,28 @@ def test_spectral_points_are_deterministic_and_unimodular():
     assert np.array_equal(a, b)
     assert np.max(np.abs(np.abs(a) - 1.0)) < 1e-14
     assert not np.array_equal(a, spectral_points(5, 6))
+
+
+def _product_defect(p, r, rep, coeff_q):
+    """Relative distance between eval(p r) and eval(p) eval(r) on 2 sites."""
+    values = {"q": coeff_q, "lam": 1.0, "mu": 1.0}
+    lhs = numeric_poly(p * r, rep, 2, values)
+    rhs = numeric_poly(p, rep, 2, values) @ numeric_poly(r, rep, 2, values)
+    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs))
+    return np.linalg.norm(lhs - rhs) / scale if scale else 0.0
+
+
+@pytest.mark.parametrize("alg", [Wq, Aq, GLq2Ext, GLq2], ids=lambda a: a.name)
+def test_normal_form_agrees_with_the_cyclic_rep(alg):
+    # Cross-layer oracle: the exact product (normal form, site sorting, the
+    # reduce memo, Coefficient arithmetic) against matrix products in the
+    # registry's cyclic representation at N = 5.
+    N = 5
+    q = root_of_unity(N)
+    rep = _REP_FACTORIES[alg.name](N)
+    rng = random.Random(f"oracle-{alg.name}")
+    pairs = [[random_poly(alg, rng, n_terms=3, max_len=3, n_sites=2)
+              for _ in range(2)] for _ in range(12)]
+    assert max(_product_defect(p, r, rep, q) for p, r in pairs) < 1e-10
+    # negative control: coefficients at q^2 while the matrices use q
+    assert max(_product_defect(p, r, rep, q**2) for p, r in pairs) > 0.1

@@ -142,6 +142,14 @@ def test_jobs_below_one_is_rejected(jobs):
         run_suite(pattern="classical-*", jobs=jobs)
 
 
+@pytest.mark.parametrize("max_sites", [0, -3])
+def test_max_sites_below_one_is_rejected(max_sites):
+    with pytest.raises(ValueError, match="max_sites"):
+        run_suite(pattern="rep-transfer-commute", max_sites=max_sites)
+    with pytest.raises(ValueError, match="max_sites"):
+        build_checks(max_sites=max_sites)
+
+
 class _InlinePool:
     """Stands in for multiprocessing.Pool: records its size, runs inline."""
 
