@@ -44,6 +44,7 @@ __all__ = [
     "toda_total",
     "ContinuumReport",
     "continuum_check",
+    "MAX_LEVEL_SITES",
     "CONTINUUM_MODELS",
     "default_fields",
     "sine_fields",
@@ -253,6 +254,10 @@ class ContinuumReport:
         return list(zip(self.kappas, self.errors, ords))
 
 
+# the most sites one ladder level may hold (the registry's largest is 128)
+MAX_LEVEL_SITES = 2**20
+
+
 def continuum_check(model: str, beta: float = 1.0, length: float = 1.0,
                     n0: int = 16, levels: int = 4,
                     fields=None, site_counts=None) -> ContinuumReport:
@@ -268,11 +273,22 @@ def continuum_check(model: str, beta: float = 1.0, length: float = 1.0,
     energy, evaluated in closed form; a joint fit of c against all levels
     would instead degenerate into interpolation at the finest kappa and
     corrupt the order estimate.  The least-squares element here is the
-    convergence order: the slope of log error against log kappa.
+    convergence order: the slope of log error against log kappa.  A level
+    of more than MAX_LEVEL_SITES sites raises ValueError.
     """
     if model not in CONTINUUM_MODELS:
         raise ValueError(
             f"unknown model {model!r}; known: {sorted(CONTINUUM_MODELS)}")
+    if site_counts is None:
+        # the largest level is n0 * 2**(levels - 1); compare without forming it
+        if levels > 0 and n0 > MAX_LEVEL_SITES >> (levels - 1):
+            raise ValueError(f"n0={n0} over {levels} levels puts more than "
+                             f"{MAX_LEVEL_SITES} sites on a level")
+        site_counts = [n0 * 2**lev for lev in range(levels)]
+    if len(site_counts) < 2 or any(n < 2 for n in site_counts):
+        raise ValueError("need at least two levels of >= 2 sites each")
+    if max(site_counts) > MAX_LEVEL_SITES:
+        raise ValueError(f"a level holds more than {MAX_LEVEL_SITES} sites")
     spec = CONTINUUM_MODELS[model]
     gamma = beta**2 / 8.0
     phi_fn, pi_fn = fields if fields is not None else default_fields(length)
@@ -290,11 +306,6 @@ def continuum_check(model: str, beta: float = 1.0, length: float = 1.0,
     # per-link additive constant: the zero-field value at vanishing spacing
     c = float(spec["per_link"](FieldConfig(
         phi=np.zeros(2), pi=np.zeros(2), kappa=1e-9, beta=beta))[0])
-
-    if site_counts is None:
-        site_counts = [n0 * 2**lev for lev in range(levels)]
-    if len(site_counts) < 2 or any(n < 2 for n in site_counts):
-        raise ValueError("need at least two levels of >= 2 sites each")
 
     errors, kappas = [], []
     for n in site_counts:

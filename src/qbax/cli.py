@@ -102,15 +102,22 @@ def _cmd_continuum(args: argparse.Namespace) -> int:
             print(f"bad --kappa-list {args.kappa_list!r}: expected "
                   "comma-separated positive floats", file=sys.stderr)
             return 2
-        site_counts = [round(args.length / k) for k in kappas]
+        # length/kappa may overflow to inf, which continuum_check rejects
+        site_counts = [round(n) if math.isfinite(n) else n
+                       for n in (args.length / k for k in kappas)]
         if len(site_counts) < 2 or any(n < 2 for n in site_counts):
             print("--kappa-list needs at least two spacings, each fitting at "
                   "least two sites into the box", file=sys.stderr)
             return 2
     fields = FIELD_PRESETS[args.field](args.length)
-    rep = continuum_check(args.model, beta=args.beta, length=args.length,
-                          n0=args.n0, levels=args.levels, fields=fields,
-                          site_counts=site_counts)
+    try:
+        rep = continuum_check(args.model, beta=args.beta, length=args.length,
+                              n0=args.n0, levels=args.levels, fields=fields,
+                              site_counts=site_counts)
+    except ValueError as exc:
+        print(f"bad --n0/--levels/--kappa-list ladder: {exc}",
+              file=sys.stderr)
+        return 2
     if args.format == "json":
         rows = [{"kappa": k, "error": e,
                  "order": None if math.isnan(o) else o}

@@ -1,16 +1,22 @@
-"""Registry of named exact identities over the algebra catalog.
+"""Registry of named exact identities over the algebra catalog, and the one
+record type, ``Check``, that describes every check this package makes.
 
-Every check here is a zero-argument callable returning ``(ok, summary)``;
-all arithmetic is exact (Laurent polynomials over Q), so "ok" means the
-stated identity holds *identically* in q and the spectral parameters, not
-up to numerical tolerance.  Checks are grouped by kind:
+A ``Check`` pairs an id and a claim with a zero-argument callable returning
+``(ok, summary)``, and states its kind:
 
 - ``exact-zero``: an algebraic identity whose defect must vanish exactly;
 - ``structural``: a derived structural fact (map coverage, confluence of
   the catalog presentations, counit existence with specific values);
 - ``expected-failure``: a negative control — the check passes iff the
   construction *breaks* in the predicted place (fault-injected rewrite
-  systems, coproducts that provably admit no counit).
+  systems, coproducts that provably admit no counit);
+- ``numeric``: a floating-point check against a tolerance; only the
+  registry module makes these.
+
+Everything registered here is exact (Laurent polynomials over Q), so "ok"
+means the stated identity holds *identically* in q and the spectral
+parameters, not up to numerical tolerance.  Families that state one fact
+about different data are written as a loop over a table of rows.
 
 The registry is the single source the CLI and the acceptance tests run;
 new identities should be added here rather than as loose test functions so
@@ -24,7 +30,6 @@ from typing import Callable
 
 from .algtext import load_algebras
 from .catalog import (
-    ALGEBRAS,
     Aq,
     GLq2,
     GLq2Ext,
@@ -74,18 +79,24 @@ from .lmatrices import (
 )
 from .ncpoly import NCPoly, check_confluence
 
-__all__ = ["Identity", "IDENTITIES", "identity_ids"]
+__all__ = ["Check", "KINDS", "IDENTITIES", "identity_ids"]
+
+KINDS = ("exact-zero", "structural", "expected-failure", "numeric")
 
 
 @dataclass(frozen=True)
-class Identity:
+class Check:
     check_id: str
     claim: str
-    kind: str  # "exact-zero" | "structural" | "expected-failure"
+    kind: str  # one of KINDS
     fn: Callable[[], tuple[bool, str]]
 
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown check kind {self.kind!r}")
 
-IDENTITIES: dict[str, Identity] = {}
+
+IDENTITIES: dict[str, Check] = {}
 
 
 def identity_ids(kind: str | None = None) -> list[str]:
@@ -95,13 +106,10 @@ def identity_ids(kind: str | None = None) -> list[str]:
 
 
 def _identity(check_id: str, claim: str, kind: str = "exact-zero"):
-    if kind not in ("exact-zero", "structural", "expected-failure"):
-        raise ValueError(f"unknown identity kind {kind!r}")
-
     def deco(fn):
         if check_id in IDENTITIES:
             raise ValueError(f"duplicate identity id {check_id!r}")
-        IDENTITIES[check_id] = Identity(check_id, claim, kind, fn)
+        IDENTITIES[check_id] = Check(check_id, claim, kind, fn)
         return fn
 
     return deco
@@ -315,58 +323,42 @@ for _label, _alg in (
     )(_central_qdet)
 
 
-@_identity("central-eta-prime", "th.b is central in the extended algebra")
-def _central_eta_p():
-    bad = centrality_defects(eta_prime(GLq2Ext))
-    return (not bad, "commutes with all generators" if not bad
-            else f"nonzero commutators with {sorted(bad)}")
+for _id, _claim, _element in (
+    ("central-eta-prime", "th.b is central in the extended algebra",
+     lambda: eta_prime(GLq2Ext)),
+    ("central-eta-dprime", "th.c is central in the extended algebra",
+     lambda: eta_dprime(GLq2Ext)),
+    ("central-osc-casimir", "e.f - q k.k is central in the oscillator algebra",
+     casimir_osc),
+    ("central-weyl-casimir", "u.ut is central in the Weyl-pair algebra",
+     casimir_weyl),
+):
+    def _central(element=_element):
+        bad = centrality_defects(element())
+        return (not bad, "commutes with all generators" if not bad
+                else f"nonzero commutators with {sorted(bad)}")
+
+    _identity(_id, _claim)(_central)
 
 
-@_identity("central-eta-dprime", "th.c is central in the extended algebra")
-def _central_eta_pp():
-    bad = centrality_defects(eta_dprime(GLq2Ext))
-    return (not bad, "commutes with all generators" if not bad
-            else f"nonzero commutators with {sorted(bad)}")
+for _label, _quotient, _alg, _unit, _other, _names in (
+    ("prime", "primed", GLq2ExtP, eta_prime, eta_dprime, ("th.b", "th.c")),
+    ("dprime", "doubly primed", GLq2ExtPP, eta_dprime, eta_prime,
+     ("th.c", "th.b")),
+):
+    def _eta_unit(alg=_alg, unit=_unit, other=_other, names=_names):
+        is_one = unit(alg) == alg.one()
+        rest = other(alg)
+        return (
+            is_one and rest != alg.one(),
+            f"{names[0]} == 1: {is_one}; {names[1]} stays {rest}",
+        )
 
-
-@_identity("central-osc-casimir", "e.f - q k.k is central in the oscillator algebra")
-def _central_osc():
-    bad = centrality_defects(casimir_osc())
-    return (not bad, "commutes with all generators" if not bad
-            else f"nonzero commutators with {sorted(bad)}")
-
-
-@_identity("central-weyl-casimir", "u.ut is central in the Weyl-pair algebra")
-def _central_weyl():
-    bad = centrality_defects(casimir_weyl())
-    return (not bad, "commutes with all generators" if not bad
-            else f"nonzero commutators with {sorted(bad)}")
-
-
-@_identity(
-    "eta-prime-unit",
-    "th.b reduces to 1 in the primed quotient (and th.c does not)",
-)
-def _eta_prime_unit():
-    is_one = eta_prime(GLq2ExtP) == GLq2ExtP.one()
-    other = eta_dprime(GLq2ExtP)
-    return (
-        is_one and other != GLq2ExtP.one(),
-        f"th.b == 1: {is_one}; th.c stays {other}",
-    )
-
-
-@_identity(
-    "eta-dprime-unit",
-    "th.c reduces to 1 in the doubly primed quotient (and th.b does not)",
-)
-def _eta_dprime_unit():
-    is_one = eta_dprime(GLq2ExtPP) == GLq2ExtPP.one()
-    other = eta_prime(GLq2ExtPP)
-    return (
-        is_one and other != GLq2ExtPP.one(),
-        f"th.c == 1: {is_one}; th.b stays {other}",
-    )
+    _identity(
+        f"eta-{_label}-unit",
+        f"{_names[0]} reduces to 1 in the {_quotient} quotient (and "
+        f"{_names[1]} does not)",
+    )(_eta_unit)
 
 
 @_identity(
@@ -409,22 +401,16 @@ def _qdet_product_form():
     return _zero_poly(lhs - rhs)
 
 
-@_identity(
-    "eta-prime-group-like",
-    "the factorized coproduct sends th.b to (th.b) (x) (th.b)",
-)
-def _eta_prime_group_like():
-    x = eta_prime(GLq2Ext)
-    return _zero_poly(MAPS["delta"](x) - x * _shift(x, 1))
+for _label, _eta, _word in (("prime", eta_prime, "th.b"),
+                            ("dprime", eta_dprime, "th.c")):
+    def _eta_group_like(eta=_eta):
+        x = eta(GLq2Ext)
+        return _zero_poly(MAPS["delta"](x) - x * _shift(x, 1))
 
-
-@_identity(
-    "eta-dprime-group-like",
-    "the factorized coproduct sends th.c to (th.c) (x) (th.c)",
-)
-def _eta_dprime_group_like():
-    x = eta_dprime(GLq2Ext)
-    return _zero_poly(MAPS["delta"](x) - x * _shift(x, 1))
+    _identity(
+        f"eta-{_label}-group-like",
+        f"the factorized coproduct sends {_word} to ({_word}) (x) ({_word})",
+    )(_eta_group_like)
 
 
 @_identity(
@@ -438,92 +424,51 @@ def _matrix_coproduct_on_L():
     return _zero_mat(_group_like_defect(L, MAPS["Delta"]))
 
 
-@_identity(
-    "factorized-coproduct-on-gplus",
-    "the upper factor [[th,0],[a,b]] is group-like under the factorized coproduct",
-)
-def _delta_gplus():
-    return _zero_mat(_group_like_defect(L_ext_plus(GLq2Ext), MAPS["delta"]))
+for _sign, _factor, _Lb in (
+    ("plus", "upper factor [[th,0],[a,b]]", L_ext_plus),
+    ("minus", "lower factor [[c,d],[0,0]]", L_ext_minus),
+):
+    def _delta_factor(Lb=_Lb):
+        return _zero_mat(_group_like_defect(Lb(GLq2Ext), MAPS["delta"]))
+
+    _identity(
+        f"factorized-coproduct-on-g{_sign}",
+        f"the {_factor} is group-like under the factorized coproduct",
+    )(_delta_factor)
 
 
-@_identity(
-    "factorized-coproduct-on-gminus",
-    "the lower factor [[c,d],[0,0]] is group-like under the factorized coproduct",
-)
-def _delta_gminus():
-    return _zero_mat(_group_like_defect(L_ext_minus(GLq2Ext), MAPS["delta"]))
+# each collapse row: the factor, its quotient, the collapse map, the target
+# algebra, the predicted image (generator names, "" for zero) and the
+# target's coproduct
+for _id, _claim, _Lb, _src, _collapse, _tgt, _want, _cop in (
+    ("collapse-gplus-osc",
+     "the oscillator collapse sends the upper factor to [[kinv,0],[e,k]], "
+     "which is group-like under the oscillator coproduct",
+     L_ext_plus, GLq2ExtP, "Q", Aq, (("kinv", ""), ("e", "k")), "deltaA"),
+    ("collapse-gminus-osc",
+     "the oscillator collapse sends the lower factor to [[k,f],[0,0]], "
+     "which is group-like under the oscillator coproduct",
+     L_ext_minus, GLq2ExtP, "Q", Aq, (("k", "f"), ("", "")), "deltaA"),
+    ("collapse-gplus-weyl",
+     "the Weyl collapse of the doubly primed quotient sends the upper factor "
+     "to [[vinv,0],[u,0]], group-like under the Weyl coproduct",
+     L_ext_plus, GLq2ExtPP, "Qpp", Wq, (("vinv", ""), ("u", "")), "deltaW"),
+    ("collapse-gminus-weyl",
+     "the Weyl collapse of the doubly primed quotient sends the lower factor "
+     "to [[v,ut],[0,0]], group-like under the Weyl coproduct",
+     L_ext_minus, GLq2ExtPP, "Qpp", Wq, (("v", "ut"), ("", "")), "deltaW"),
+):
+    def _collapse_factor(Lb=_Lb, src=_src, collapse=_collapse, tgt=_tgt,
+                         want=_want, cop=_cop):
+        img = Lb(src).map_entries_to(tgt, MAPS[collapse])
+        want = OpMatrix(tgt, [[tgt.gen(g) if g else tgt.zero() for g in row]
+                              for row in want])
+        return _all([
+            _zero_mat(img - want, "image"),
+            _zero_mat(_group_like_defect(img, MAPS[cop]), "group-like"),
+        ])
 
-
-@_identity(
-    "collapse-gplus-osc",
-    "the oscillator collapse sends the upper factor to [[kinv,0],[e,k]], "
-    "which is group-like under the oscillator coproduct",
-)
-def _collapse_gplus_osc():
-    Qm = MAPS["Q"]
-    img = L_ext_plus(GLq2ExtP).map_entries_to(Aq, Qm)
-    want = OpMatrix(Aq, [
-        [Aq.gen("kinv"), Aq.zero()],
-        [Aq.gen("e"), Aq.gen("k")],
-    ])
-    return _all([
-        _zero_mat(img - want, "image"),
-        _zero_mat(_group_like_defect(img, MAPS["deltaA"]), "group-like"),
-    ])
-
-
-@_identity(
-    "collapse-gminus-osc",
-    "the oscillator collapse sends the lower factor to [[k,f],[0,0]], "
-    "which is group-like under the oscillator coproduct",
-)
-def _collapse_gminus_osc():
-    Qm = MAPS["Q"]
-    img = L_ext_minus(GLq2ExtP).map_entries_to(Aq, Qm)
-    want = OpMatrix(Aq, [
-        [Aq.gen("k"), Aq.gen("f")],
-        [Aq.zero(), Aq.zero()],
-    ])
-    return _all([
-        _zero_mat(img - want, "image"),
-        _zero_mat(_group_like_defect(img, MAPS["deltaA"]), "group-like"),
-    ])
-
-
-@_identity(
-    "collapse-gplus-weyl",
-    "the Weyl collapse of the doubly primed quotient sends the upper factor "
-    "to [[vinv,0],[u,0]], group-like under the Weyl coproduct",
-)
-def _collapse_gplus_weyl():
-    Qm = MAPS["Qpp"]
-    img = L_ext_plus(GLq2ExtPP).map_entries_to(Wq, Qm)
-    want = OpMatrix(Wq, [
-        [Wq.gen("vinv"), Wq.zero()],
-        [Wq.gen("u"), Wq.zero()],
-    ])
-    return _all([
-        _zero_mat(img - want, "image"),
-        _zero_mat(_group_like_defect(img, MAPS["deltaW"]), "group-like"),
-    ])
-
-
-@_identity(
-    "collapse-gminus-weyl",
-    "the Weyl collapse of the doubly primed quotient sends the lower factor "
-    "to [[v,ut],[0,0]], group-like under the Weyl coproduct",
-)
-def _collapse_gminus_weyl():
-    Qm = MAPS["Qpp"]
-    img = L_ext_minus(GLq2ExtPP).map_entries_to(Wq, Qm)
-    want = OpMatrix(Wq, [
-        [Wq.gen("v"), Wq.gen("ut")],
-        [Wq.zero(), Wq.zero()],
-    ])
-    return _all([
-        _zero_mat(img - want, "image"),
-        _zero_mat(_group_like_defect(img, MAPS["deltaW"]), "group-like"),
-    ])
+    _identity(_id, _claim)(_collapse_factor)
 
 
 @_identity(
@@ -649,23 +594,19 @@ def _commutator_db_r():
     return _zero_poly(lhs - rhs)
 
 
-@_identity(
-    "collapse-qdet-osc",
-    "the oscillator collapse sends the quantum determinant to the "
-    "oscillator Casimir e.f - q k.k",
-)
-def _collapse_qdet_osc():
-    got = MAPS["Q"](quantum_determinant(GLq2ExtP))
-    return _zero_poly(got - casimir_osc())
+for _label, _collapse, _casimir, _claim in (
+    ("osc", "Q", casimir_osc,
+     "the oscillator collapse sends the quantum determinant to the "
+     "oscillator Casimir e.f - q k.k"),
+    ("weyl", "Qp", casimir_weyl,
+     "the Weyl collapse sends the quantum determinant to the Weyl Casimir "
+     "u.ut"),
+):
+    def _collapse_qdet(collapse=_collapse, casimir=_casimir):
+        got = MAPS[collapse](quantum_determinant(GLq2ExtP))
+        return _zero_poly(got - casimir())
 
-
-@_identity(
-    "collapse-qdet-weyl",
-    "the Weyl collapse sends the quantum determinant to the Weyl Casimir u.ut",
-)
-def _collapse_qdet_weyl():
-    got = MAPS["Qp"](quantum_determinant(GLq2ExtP))
-    return _zero_poly(got - casimir_weyl())
+    _identity(f"collapse-qdet-{_label}", _claim)(_collapse_qdet)
 
 
 # --------------------------------------------------------------------------
@@ -689,36 +630,24 @@ def _counit_matrix():
     return True, "eps forced to (1,0,0,1); all axioms and relations satisfied"
 
 
-@_identity(
-    "counit-factorized-none",
-    "the factorized coproduct on the extended algebra admits no counit "
-    "(the d image c (x) d cannot restore d)",
-    kind="expected-failure",
-)
-def _counit_factorized():
-    rep = counit_analysis(MAPS["delta"])
-    if rep.exists:
-        return False, "a counit was found where none should exist"
-    hit = [s for s in rep.contradictions if "word d: got 0, need 1" in s]
-    if not hit:
-        return False, f"wrong contradiction site: {rep.contradictions}"
-    return True, f"no counit; forced contradiction: {hit[0]}"
+for _label, _cop, _gen, _claim in (
+    ("factorized", "delta", "d", "the factorized coproduct on the extended "
+     "algebra admits no counit (the d image c (x) d cannot restore d)"),
+    ("osc", "deltaA", "f", "the factorized oscillator coproduct admits no "
+     "counit (the f image k (x) f cannot restore f)"),
+):
+    def _counit_none(cop=_cop, gen=_gen):
+        rep = counit_analysis(MAPS[cop])
+        if rep.exists:
+            return False, "a counit was found where none should exist"
+        hit = [s for s in rep.contradictions
+               if f"word {gen}: got 0, need 1" in s]
+        if not hit:
+            return False, f"wrong contradiction site: {rep.contradictions}"
+        return True, f"no counit; forced contradiction: {hit[0]}"
 
-
-@_identity(
-    "counit-osc-none",
-    "the factorized oscillator coproduct admits no counit (the f image "
-    "k (x) f cannot restore f)",
-    kind="expected-failure",
-)
-def _counit_osc():
-    rep = counit_analysis(MAPS["deltaA"])
-    if rep.exists:
-        return False, "a counit was found where none should exist"
-    hit = [s for s in rep.contradictions if "word f: got 0, need 1" in s]
-    if not hit:
-        return False, f"wrong contradiction site: {rep.contradictions}"
-    return True, f"no counit; forced contradiction: {hit[0]}"
+    _identity(f"counit-{_label}-none", _claim,
+              kind="expected-failure")(_counit_none)
 
 
 @_identity(
@@ -981,28 +910,19 @@ def _transfer_lam_free():
     return _all(parts)
 
 
-@_identity(
-    "transfer-commute-ext-hat",
-    "[T(lam), T(mu)] == 0 for the hatted extended chain at 2 and 3 sites",
-)
-def _transfer_commute_ext_hat():
-    parts = []
-    for n in (2, 3):
-        d = transfer_commutation_defect(L_ext_hat, GLq2Ext, n)
-        parts.append(_zero_poly(d, f"N={n}"))
-    return _all(parts)
+for _label, _Lb, _alg, _chain in (
+    ("ext-hat", L_ext_hat, GLq2Ext, "hatted extended"),
+    ("qdst", L_qdst, Aq, "discrete self-trapping"),
+):
+    def _transfer_commute(Lb=_Lb, alg=_alg):
+        return _all([
+            _zero_poly(transfer_commutation_defect(Lb, alg, n), f"N={n}")
+            for n in (2, 3)])
 
-
-@_identity(
-    "transfer-commute-qdst",
-    "[T(lam), T(mu)] == 0 for the discrete self-trapping chain at 2 and 3 sites",
-)
-def _transfer_commute_qdst():
-    parts = []
-    for n in (2, 3):
-        d = transfer_commutation_defect(L_qdst, Aq, n)
-        parts.append(_zero_poly(d, f"N={n}"))
-    return _all(parts)
+    _identity(
+        f"transfer-commute-{_label}",
+        f"[T(lam), T(mu)] == 0 for the {_chain} chain at 2 and 3 sites",
+    )(_transfer_commute)
 
 
 @_identity(

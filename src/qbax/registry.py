@@ -9,12 +9,20 @@ The registry concatenates, in a fixed order:
     residuals, transfer commutators, charge fits),
   * classical checks (zero curvature, continuum orders, dualities).
 
-Every check is a named callable returning (ok, summary).  The runner
-times each one, collects CheckResult rows, and assembles a SuiteReport
-that is deterministic for a fixed seed: seeded draws are derived from
-(seed, crc32(check_id)), results are merged in registry order even when
-fanned out over worker processes, and the JSON form omits wall times
-unless explicitly asked for.
+Every check is one ``Check`` record (defined in identities and re-exported
+here): an id, a claim, a kind and a callable returning (ok, summary).  The
+kinds are exact-zero, structural, expected-failure and numeric; reports do
+not show them.  Numeric checks are made through one registrar: a check body
+only returns its (defect, label) pairs, and the registrar picks the
+tolerance (pinned per check unless tol overrides it), finds the worst pair
+(a defect that is not finite is the worst and fails) and writes the
+summary.
+
+The runner times each check, collects CheckResult rows, and assembles a
+SuiteReport that is deterministic for a fixed seed: seeded draws are
+derived from (seed, crc32(check_id)), results are merged in registry order
+even when fanned out over worker processes, and the JSON form omits wall
+times unless explicitly asked for.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .identities import IDENTITIES
+from .identities import IDENTITIES, Check
 from .catalog import Aq, GLq2, GLq2Ext, Wq
 from .lmatrices import PAIRINGS
 from .qdilog import (
@@ -90,13 +98,6 @@ __all__ = [
 
 class SkipCheck(Exception):
     """Raised inside a check body to mark it skipped (reason in args)."""
-
-
-@dataclass(frozen=True)
-class Check:
-    check_id: str
-    claim: str
-    fn: Callable[[], tuple[bool, str]]
 
 
 @dataclass(frozen=True)
@@ -203,23 +204,30 @@ def _rng(seed: int, check_id: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(check_id.encode())])
 
 
-def _pick(override: float | None, pinned: float) -> float:
-    return pinned if override is None else override
+def _registrar(checks: list[Check], tol: float | None):
+    """Decorator factory for numeric checks: @numeric(check_id, claim, pinned).
 
+    The decorated body returns (defect, label) pairs.  The registered check
+    compares the worst defect with tol, or with the pinned tolerance when
+    tol is None.  A defect that is not finite (nan, inf) is the worst one
+    and fails the check.
+    """
+    def numeric(check_id: str, claim: str, pinned: float):
+        limit = pinned if tol is None else tol
 
-def _worst(pairs: Iterable[tuple[float, str]]) -> tuple[float, str]:
-    """Max defect and the label it occurred at."""
-    worst, where = -1.0, ""
-    for defect, label in pairs:
-        if defect > worst:
-            worst, where = defect, label
-    return worst, where
-
-
-def _verdict(worst: float, where: str, count: int, tol: float
-             ) -> tuple[bool, str]:
-    return worst <= tol, (f"max defect {worst:.3e} at {where} "
-                          f"over {count} evaluations (tol {tol:g})")
+        def deco(pairs_fn: Callable[[], Iterable[tuple[float, str]]]):
+            def fn():
+                pairs = list(pairs_fn())
+                worst, where = max(
+                    pairs, key=lambda p: (not math.isfinite(p[0]), p[0]))
+                ok = math.isfinite(worst) and worst <= limit
+                return ok, (
+                    f"max defect {worst:.3e} at {where} "
+                    f"over {len(pairs)} evaluations (tol {limit:g})")
+            checks.append(Check(check_id, claim, "numeric", fn))
+            return pairs_fn
+        return deco
+    return numeric
 
 
 # --------------------------------------------------------------------------
@@ -228,39 +236,32 @@ def _verdict(worst: float, where: str, count: int, tol: float
 
 def _qdilog_checks(seed: int, tol: float | None) -> list[Check]:
     checks: list[Check] = []
+    numeric = _registrar(checks, tol)
     params = {om: DilogParams(om) for om in OMEGAS}
 
-    def grid_check(check_id: str, claim: str, point_fn, pinned: float):
-        def fn():
-            pairs = []
-            for om in OMEGAS:
-                for x in X_GRID:
-                    pairs.append((point_fn(om, x, params[om]),
-                                  f"omega={om:g}, x={x:g}"))
-            return _verdict(*_worst(pairs), len(pairs), _pick(tol, pinned))
-        checks.append(Check(check_id, claim, fn))
+    def grid_check(check_id: str, claim: str, point_fn):
+        numeric(check_id, claim, 1e-8)(lambda: [
+            (point_fn(om, x, params[om]), f"omega={om:g}, x={x:g}")
+            for om in OMEGAS for x in X_GRID])
 
     grid_check(
         "qdilog-shift",
         "S(x/q) = (1 + x) S(q x) on a log grid of positive x for "
         "omega in {0.3, 0.5, 0.7, 0.9}",
-        check_shift, 1e-8)
+        check_shift)
     grid_check(
         "qdilog-unitarity",
         "|S(x)| = 1 for positive real x on the same omega/x grid",
-        check_unitarity, 1e-8)
+        check_unitarity)
 
-    def sampled_check(check_id: str, claim: str, sample_fn, pinned: float,
-                      per_omega: int = 25):
-        def fn():
+    def sampled_check(check_id: str, claim: str, sample_fn):
+        def pairs():
             rng = _rng(seed, check_id)
-            pairs = []
             for om in OMEGAS:
-                for _ in range(per_omega):
+                for _ in range(25):
                     defect, label = sample_fn(om, params[om], rng)
-                    pairs.append((defect, f"omega={om:g}, {label}"))
-            return _verdict(*_worst(pairs), len(pairs), _pick(tol, pinned))
-        checks.append(Check(check_id, claim, fn))
+                    yield defect, f"omega={om:g}, {label}"
+        numeric(check_id, claim, 1e-8)(pairs)
 
     def ssw_sample(om, p, rng):
         w = 10.0 ** rng.uniform(-1.0, 1.0)
@@ -271,7 +272,7 @@ def _qdilog_checks(seed: int, tol: float | None) -> list[Check]:
         "qdilog-power-identity",
         "w^t equals the four-factor S ratio in both displayed forms "
         "(100 seeded samples)",
-        ssw_sample, 1e-8)
+        ssw_sample)
 
     feq_claims = {
         "rw": "R0(w) (lam + w/q) = (1 + lam w/q) R0(w/q^2) for the "
@@ -286,12 +287,13 @@ def _qdilog_checks(seed: int, tol: float | None) -> list[Check]:
             lam = 10.0 ** rng.uniform(-0.6, 0.6)
             w = 10.0 ** rng.uniform(-1.0, 1.0)
             return check_feq(_id, om, lam, w, p), f"lam={lam:.4g}, w={w:.4g}"
-        sampled_check(f"qdilog-feq-{feq_id}", feq_claims[feq_id],
-                      feq_sample, 1e-8)
+        sampled_check(f"qdilog-feq-{feq_id}", feq_claims[feq_id], feq_sample)
 
-    def kernel_ratio_fn():
-        pinned = _pick(tol, 1e-7)
-        pairs = []
+    @numeric(
+        "qdilog-kernel-ratio",
+        "the two kernels solving the same exchange equation differ by the "
+        "w-independent factor exp(i log^2(lam) / (4 pi omega^2))", 1e-7)
+    def _():
         for om in OMEGAS:
             for lam in (0.45, 2.2):
                 ratios = [kernel_ratio_rv5_rv3(om, lam, w, params[om])
@@ -299,58 +301,35 @@ def _qdilog_checks(seed: int, tol: float | None) -> list[Check]:
                 closed = cmath.exp(1j * math.log(lam) ** 2
                                    / (4.0 * math.pi * om * om))
                 mean = sum(ratios) / len(ratios)
-                spread = max(abs(r - mean) for r in ratios) / abs(mean)
-                drift = abs(mean - closed) / abs(closed)
                 label = f"omega={om:g}, lam={lam:g}"
-                pairs.append((spread, label + " (spread)"))
-                pairs.append((drift, label + " (closed form)"))
-        return _verdict(*_worst(pairs), len(pairs), pinned)
+                yield (max(abs(r - mean) for r in ratios) / abs(mean),
+                       label + " (spread)")
+                yield abs(mean - closed) / abs(closed), label + " (closed form)"
 
-    checks.append(Check(
-        "qdilog-kernel-ratio",
-        "the two kernels solving the same exchange equation differ by the "
-        "w-independent factor exp(i log^2(lam) / (4 pi omega^2))",
-        kernel_ratio_fn))
-
-    def self_dual_fn():
-        pinned = _pick(tol, 1e-8)
-        pairs = [(check_self_dual(om, s, params[om]), f"omega={om:g}, s={s:g}")
-                 for om in OMEGAS for s in (-0.2, 0.1, 0.3)]
-        return _verdict(*_worst(pairs), len(pairs), pinned)
-
-    checks.append(Check(
+    @numeric(
         "qdilog-self-dual",
         "S_omega(x^omega) = S_(1/omega)(x^(1/omega)) across independently "
-        "chosen contour configurations",
-        self_dual_fn))
+        "chosen contour configurations", 1e-8)
+    def _():
+        return [(check_self_dual(om, s, params[om]), f"omega={om:g}, s={s:g}")
+                for om in OMEGAS for s in (-0.2, 0.1, 0.3)]
 
-    def product_fn():
-        pinned = _pick(tol, 1e-6)
-        pairs = [(check_product_consistency(om, x),
-                  f"omega={om:g}, x={x:g}")
-                 for om in (0.6 + 0.15j, 0.45 + 0.2j) for x in (0.3, 1.7)]
-        return _verdict(*_worst(pairs), len(pairs), pinned)
-
-    checks.append(Check(
+    @numeric(
         "qdilog-product-form",
         "the contour integral matches the ratio of two compact products at "
-        "complex omega where both converge",
-        product_fn))
+        "complex omega where both converge", 1e-6)
+    def _():
+        return [(check_product_consistency(om, x), f"omega={om:g}, x={x:g}")
+                for om in (0.6 + 0.15j, 0.45 + 0.2j) for x in (0.3, 1.7)]
 
-    def fixed_point_fn():
-        pinned = _pick(tol, 1e-8)
-        pairs = []
+    @numeric(
+        "qdilog-fixed-point",
+        "S(1) = exp(i pi (omega^2 + omega^-2) / 24)", 1e-8)
+    def _():
         for om in OMEGAS:
             expected = cmath.exp(1j * math.pi * (om * om + om ** -2) / 24.0)
             got = s_omega(1.0, params[om])
-            pairs.append((abs(got - expected) / abs(expected),
-                          f"omega={om:g}"))
-        return _verdict(*_worst(pairs), len(pairs), pinned)
-
-    checks.append(Check(
-        "qdilog-fixed-point",
-        "S(1) = exp(i pi (omega^2 + omega^-2) / 24)",
-        fixed_point_fn))
+            yield abs(got - expected) / abs(expected), f"omega={om:g}"
 
     return checks
 
@@ -361,29 +340,27 @@ def _qdilog_checks(seed: int, tol: float | None) -> list[Check]:
 
 def _rep_checks(seed: int, tol: float | None, max_sites: int) -> list[Check]:
     checks: list[Check] = []
-    sizes = REP_SIZES
+    numeric = _registrar(checks, tol)
 
-    def relations_fn():
-        pinned = _pick(tol, 1e-12)
-        pairs = []
-        for N in sizes:
+    @numeric(
+        "rep-relations",
+        "every defining relation and unit pair of the presented algebras "
+        "holds in the cyclic representations for N in {3, 5, 7}", 1e-12)
+    def _():
+        for N in REP_SIZES:
             q = root_of_unity(N)
             for alg in (Wq, Aq, GLq2Ext, GLq2):
                 rep = _REP_FACTORIES[alg.name](N)
                 for key, res in rep_residuals(alg, rep, q).items():
-                    pairs.append((res, f"{alg.name} N={N} [{key}]"))
-        return _verdict(*_worst(pairs), len(pairs), pinned)
+                    yield res, f"{alg.name} N={N} [{key}]"
 
-    checks.append(Check(
-        "rep-relations",
-        "every defining relation and unit pair of the presented algebras "
-        "holds in the cyclic representations for N in {3, 5, 7}",
-        relations_fn))
-
-    def rll_fn():
-        pinned = _pick(tol, 1e-10)
-        pairs = []
-        for N in sizes:
+    @numeric(
+        "rep-rll",
+        "the numeric exchange residual R12 L13 L23 - L23 L13 R12 vanishes "
+        "for all eleven kernel/operator pairings at seeded spectral points, "
+        "N in {3, 5, 7}", 1e-10)
+    def _():
+        for N in REP_SIZES:
             q = root_of_unity(N)
             reps = {name: fac(N) for name, fac in _REP_FACTORIES.items()}
             pts = spectral_points(_rng(seed, "rep-rll").integers(2**31)
@@ -393,26 +370,21 @@ def _rep_checks(seed: int, tol: float | None, max_sites: int) -> list[Check]:
                     res = rll_residual_num(R_builder, L_builder, alg,
                                            reps[alg.name], pts[i], pts[i + 1],
                                            q)
-                    pairs.append((res, f"{name} N={N} pair {i // 2}"))
-        return _verdict(*_worst(pairs), len(pairs), pinned)
+                    yield res, f"{name} N={N} pair {i // 2}"
 
-    checks.append(Check(
-        "rep-rll",
-        "the numeric exchange residual R12 L13 L23 - L23 L13 R12 vanishes "
-        "for all eleven kernel/operator pairings at seeded spectral points, "
-        "N in {3, 5, 7}",
-        rll_fn))
-
-    def transfer_fn():
+    @numeric(
+        "rep-transfer-commute",
+        "transfer matrices at distinct spectral points commute on a 3-site "
+        "chain for the hatted extended, hatted oscillator, and "
+        "self-trapping operators", 1e-10)
+    def _():
         sites = min(3, max_sites)
         if sites < 2:
             raise SkipCheck(f"needs at least 2 sites (max_sites={max_sites})")
-        pinned = _pick(tol, 1e-10)
         wanted = ("ext-hat", "osc-hat", "qdst")
         rows = [(n, Rb, Lb, alg) for n, Rb, Lb, alg in PAIRINGS
                 if n in wanted]
-        pairs = []
-        for N in sizes:
+        for N in REP_SIZES:
             q = root_of_unity(N)
             pts = spectral_points(_rng(seed, "rep-transfer").integers(2**31)
                                   + N, 4)
@@ -420,39 +392,25 @@ def _rep_checks(seed: int, tol: float | None, max_sites: int) -> list[Check]:
                 rep = _REP_FACTORIES[alg.name](N)
                 res = transfer_commutator_num(L_builder, alg, rep, sites,
                                               pts[0], pts[1], q)
-                pairs.append((res, f"{name} N={N}"))
+                yield res, f"{name} N={N}"
                 if N == 3:
                     res = transfer_commutator_num(L_builder, alg, rep, sites,
                                                   pts[2], pts[3], q)
-                    pairs.append((res, f"{name} N={N} (second pair)"))
-        return _verdict(*_worst(pairs),
-                        len(pairs), pinned)
+                    yield res, f"{name} N={N} (second pair)"
 
-    checks.append(Check(
-        "rep-transfer-commute",
-        "transfer matrices at distinct spectral points commute on a 3-site "
-        "chain for the hatted extended, hatted oscillator, and "
-        "self-trapping operators",
-        transfer_fn))
-
-    def charges_fn():
-        pinned = _pick(tol, 1e-10)
-        pairs = []
-        jobs = [(N, 2) for N in sizes]
+    @numeric(
+        "rep-qdst-charges",
+        "Fourier-extracted Laurent coefficients of the self-trapping "
+        "transfer matrix equal the conserved charges Q and Q H", 1e-10)
+    def _():
+        jobs = [(N, 2) for N in REP_SIZES]
         if max_sites >= 3:
             jobs.append((3, 3))
         for N, n_sites in jobs:
             q = root_of_unity(N)
             rep = qosc_rep(N)
             for key, res in qdst_charge_fit(Aq, rep, n_sites, q).items():
-                pairs.append((res, f"N={N} sites={n_sites} [{key}]"))
-        return _verdict(*_worst(pairs), len(pairs), pinned)
-
-    checks.append(Check(
-        "rep-qdst-charges",
-        "Fourier-extracted Laurent coefficients of the self-trapping "
-        "transfer matrix equal the conserved charges Q and Q H",
-        charges_fn))
+                yield res, f"N={N} sites={n_sites} [{key}]"
 
     return checks
 
@@ -470,6 +428,7 @@ _ZC_EOM = {
 
 def _classical_checks(seed: int, tol: float | None) -> list[Check]:
     checks: list[Check] = []
+    numeric = _registrar(checks, tol)
 
     for preset in sorted(ZC_PRESETS):
         def zc_fn(_p=preset):
@@ -486,7 +445,7 @@ def _classical_checks(seed: int, tol: float | None) -> list[Check]:
             f"classical-zero-curvature-{preset}",
             "the light-cone residual d-U+ + d+U- - 2[U+, U-] vanishes "
             f"identically modulo {_ZC_EOM[preset]}",
-            zc_fn))
+            "exact-zero", zc_fn))
 
     for model in CONTINUUM_MODELS:
         def cont_fn(_m=model):
@@ -500,17 +459,19 @@ def _classical_checks(seed: int, tol: float | None) -> list[Check]:
             f"classical-continuum-{model}",
             f"lattice sums of the {model} per-link density converge to the "
             "continuum integral with order >= 1 under spacing halvings",
-            cont_fn))
+            "numeric", cont_fn))
 
     def _config(rng, n=32, beta=1.3):
         return FieldConfig(phi=rng.standard_normal(n),
                            pi=rng.standard_normal(n), kappa=1.0 / n,
                            beta=beta)
 
-    def duality_fn():
-        pinned = _pick(tol, 1e-12)
+    @numeric(
+        "classical-volterra-duality",
+        "the dual Volterra density equals the primal density of the "
+        "field-reflected configuration", 1e-12)
+    def _():
         rng = _rng(seed, "classical-volterra-duality")
-        pairs = []
         for trial in range(5):
             cfg = _config(rng)
             flipped = FieldConfig(phi=-cfg.phi, pi=cfg.pi, kappa=cfg.kappa,
@@ -518,64 +479,42 @@ def _classical_checks(seed: int, tol: float | None) -> list[Check]:
             d = float(np.max(np.abs(
                 h_volterra(cfg, dual=True, r_prime=r_prime_self_dual)
                 - h_volterra(flipped, r_prime=r_prime_self_dual))))
-            pairs.append((d, f"trial {trial}"))
-        return _verdict(*_worst(pairs), len(pairs), pinned)
+            yield d, f"trial {trial}"
 
-    checks.append(Check(
-        "classical-volterra-duality",
-        "the dual Volterra density equals the primal density of the "
-        "field-reflected configuration",
-        duality_fn))
-
-    def self_dual_fn():
-        pinned = _pick(tol, 1e-12)
+    @numeric(
+        "classical-volterra-self-dual",
+        "with the self-dual r' the primal and dual Volterra densities "
+        "coincide", 1e-12)
+    def _():
         rng = _rng(seed, "classical-volterra-self-dual")
-        pairs = []
         for trial in range(5):
             cfg = _config(rng)
             d = float(np.max(np.abs(
                 h_volterra(cfg, r_prime=r_prime_self_dual)
                 - h_volterra(cfg, dual=True, r_prime=r_prime_self_dual))))
-            pairs.append((d, f"trial {trial}"))
-        return _verdict(*_worst(pairs), len(pairs), pinned)
+            yield d, f"trial {trial}"
 
-    checks.append(Check(
-        "classical-volterra-self-dual",
-        "with the self-dual r' the primal and dual Volterra densities "
-        "coincide",
-        self_dual_fn))
-
-    def toda_fn():
-        pinned = _pick(tol, 1e-12)
-        rng = _rng(seed, "classical-toda-telescoping")
-        pairs = [(abs(toda_total(_config(rng))), f"trial {t}")
-                 for t in range(5)]
-        return _verdict(*_worst(pairs), len(pairs), pinned)
-
-    checks.append(Check(
+    @numeric(
         "classical-toda-telescoping",
         "the relativistic-Toda per-link density telescopes to zero on "
-        "periodic chains",
-        toda_fn))
+        "periodic chains", 1e-12)
+    def _():
+        rng = _rng(seed, "classical-toda-telescoping")
+        return [(abs(toda_total(_config(rng))), f"trial {t}")
+                for t in range(5)]
 
-    def zero_point_fn():
-        pinned = _pick(tol, 1e-12)
-        pairs = []
+    @numeric(
+        "classical-liouville-zero-point",
+        "at zero fields the Liouville bracket collapses to "
+        "(1 + kappa^2/2)^2, i.e. gamma H = 2 log(3/2) at unit spacing", 1e-12)
+    def _():
         for kappa in (0.25, 0.5, 1.0, 2.0):
             cfg = FieldConfig(phi=np.zeros(4), pi=np.zeros(4), kappa=kappa,
                               beta=1.7)
             A, B, C2, C4 = liouville_bracket_terms(cfg)
             arg = A + B + kappa**2 * C2 + kappa**4 * C4
             expected = (1.0 + kappa**2 / 2.0) ** 2
-            pairs.append((float(np.max(np.abs(arg - expected))),
-                          f"kappa={kappa:g}"))
-        return _verdict(*_worst(pairs), len(pairs), pinned)
-
-    checks.append(Check(
-        "classical-liouville-zero-point",
-        "at zero fields the Liouville bracket collapses to "
-        "(1 + kappa^2/2)^2, i.e. gamma H = 2 log(3/2) at unit spacing",
-        zero_point_fn))
+            yield float(np.max(np.abs(arg - expected))), f"kappa={kappa:g}"
 
     return checks
 
@@ -600,7 +539,7 @@ def build_checks(seed: int = 0, tol: float | None = None,
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if max_sites < 1:
         raise ValueError(f"max_sites must be at least 1, got {max_sites!r}")
-    checks = [Check(i.check_id, i.claim, i.fn) for i in IDENTITIES.values()]
+    checks = list(IDENTITIES.values())
     checks += _qdilog_checks(seed, tol)
     checks += _rep_checks(seed, tol, max_sites)
     checks += _classical_checks(seed, tol)

@@ -9,6 +9,7 @@ import pytest
 from qbax.classical import (
     CONTINUUM_MODELS,
     FIELD_PRESETS,
+    MAX_LEVEL_SITES,
     DerivationError,
     DiffExpr,
     FieldConfig,
@@ -163,6 +164,19 @@ def test_continuum_rejects_bad_inputs():
         continuum_check("liouville", site_counts=[16])
     with pytest.raises(ValueError):
         continuum_check("liouville", site_counts=[16, 1])
+    for too_large in ({"n0": 2**19 + 1, "levels": 2},
+                      {"n0": 16, "levels": 10**9},  # no level is formed
+                      {"n0": 10**8},
+                      {"site_counts": [16, 2**20 + 1]},
+                      {"site_counts": [16, math.inf]}):
+        with pytest.raises(ValueError, match="1048576"):
+            continuum_check("liouville", **too_large)
+
+
+def test_continuum_ladder_at_the_size_limit_runs():
+    assert MAX_LEVEL_SITES == 2**20
+    report = continuum_check("liouville", site_counts=[16, 2**20])
+    assert report.kappas == (1 / 16, 2.0**-20)
 
 
 # ------------------------------------------------- light-cone differential

@@ -186,6 +186,12 @@ def test_report_json(capsys):
     ["--n0", "2.5"],
     ["--levels", "-1"],
     ["--levels", "1"],
+    # ladders above 2**20 sites per level
+    ["--n0", "100000000"],
+    ["--n0", "1048576"],              # 2**20 sites, then 2**21
+    ["--levels", "1000000000"],       # rejected before any level is formed
+    ["--kappa-list", "1e-300,0.1"],
+    ["--kappa-list", "1e-320,0.1"],   # length/kappa overflows to inf
 ])
 def test_continuum_bad_input_is_a_usage_error(capsys, flags):
     # each of these used to end in a traceback (ZeroDivisionError, a nan

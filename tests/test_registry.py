@@ -1,8 +1,11 @@
 """Check registry: selection, determinism, parallel merge, report formats."""
 
+import hashlib
 import json
+import math
 import multiprocessing
 import os
+from collections import Counter
 
 import pytest
 
@@ -25,25 +28,43 @@ def test_registry_has_unique_ids_and_expected_size():
     assert {"qdilog", "rep", "classical"} <= prefixes
 
 
+def test_registry_fingerprint():
+    # guards the order and the membership of the 110 checks; the same hash
+    # is pinned by the benchmark's work fingerprint
+    checks = build_checks()
+    ids = "\n".join(c.check_id for c in checks).encode()
+    assert hashlib.sha256(ids).hexdigest().startswith("28b67b9e36652adf")
+    assert Counter(c.kind for c in checks) == {
+        "exact-zero": 75, "numeric": 21, "structural": 8,
+        "expected-failure": 6}
+
+
+def test_check_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="kind"):
+        Check("t-kind", "no such kind", "approximate", lambda: (True, ""))
+
+
 def test_run_check_statuses():
-    ok = run_check(Check("t-pass", "passes", lambda: (True, "fine")))
+    ok = run_check(Check("t-pass", "passes", "numeric",
+                         lambda: (True, "fine")))
     assert (ok.status, ok.summary) == ("pass", "fine")
     assert ok.seconds >= 0.0
 
-    bad = run_check(Check("t-fail", "fails", lambda: (False, "off by 1")))
+    bad = run_check(Check("t-fail", "fails", "numeric",
+                          lambda: (False, "off by 1")))
     assert bad.status == "fail"
 
     def crashes():
         raise ZeroDivisionError("1/0")
 
-    crashed = run_check(Check("t-crash", "crashes", crashes))
+    crashed = run_check(Check("t-crash", "crashes", "numeric", crashes))
     assert crashed.status == "fail"
     assert crashed.summary.startswith("error: ZeroDivisionError")
 
     def skips():
         raise SkipCheck("needs more sites")
 
-    skipped = run_check(Check("t-skip", "skips", skips))
+    skipped = run_check(Check("t-skip", "skips", "numeric", skips))
     assert (skipped.status, skipped.summary) == ("skipped", "needs more sites")
 
 
@@ -81,6 +102,22 @@ def test_tol_override_reaches_the_summaries():
     (res,) = report.results
     assert res.status == "fail"
     assert "tol 1e-30" in res.summary
+    assert not report.ok
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_defect_fails_a_numeric_check(monkeypatch, bad):
+    real = registry.check_unitarity
+
+    def one_bad_point(om, x, p):
+        return bad if (om, x) == (0.5, 1.0) else real(om, x, p)
+
+    monkeypatch.setattr(registry, "check_unitarity", one_bad_point)
+    report = run_suite(pattern="qdilog-unitarity")
+    (res,) = report.results
+    assert res.status == "fail"
+    assert res.summary == (f"max defect {bad:.3e} at omega=0.5, x=1 over 36 "
+                           "evaluations (tol 1e-08)")
     assert not report.ok
 
 
