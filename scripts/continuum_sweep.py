@@ -13,23 +13,29 @@ import argparse
 import math
 
 from qbax.classical import CONTINUUM_MODELS, FIELD_PRESETS, continuum_check
+from qbax.cli import _int_at_least, _positive
 
 
 def main() -> None:
+    # the same argument checks as `qbax classical continuum`: bad input is a
+    # usage error (exit status 2), not a traceback
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--beta", type=float, default=1.0)
-    ap.add_argument("--length", type=float, default=1.0)
-    ap.add_argument("--n0", type=int, default=16)
-    ap.add_argument("--levels", type=int, default=5)
+    ap.add_argument("--beta", type=_positive, default=1.0)
+    ap.add_argument("--length", type=_positive, default=1.0)
+    ap.add_argument("--n0", type=_int_at_least(2), default=16)
+    ap.add_argument("--levels", type=_int_at_least(2), default=5)
     args = ap.parse_args()
 
     fitted = {}
     for model in sorted(CONTINUUM_MODELS):
         for preset in sorted(FIELD_PRESETS):
-            rep = continuum_check(
-                model, beta=args.beta, length=args.length,
-                n0=args.n0, levels=args.levels,
-                fields=FIELD_PRESETS[preset](args.length))
+            try:
+                rep = continuum_check(
+                    model, beta=args.beta, length=args.length,
+                    n0=args.n0, levels=args.levels,
+                    fields=FIELD_PRESETS[preset](args.length))
+            except ValueError as exc:  # e.g. a level over MAX_LEVEL_SITES
+                ap.error(f"bad --n0/--levels ladder: {exc}")
             print(f"\n{model} / {preset} fields   "
                   f"(constant {rep.constant:.6f})")
             print(f"  {'kappa':>12}  {'error':>12}  {'order':>6}")

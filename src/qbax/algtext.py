@@ -1,7 +1,9 @@
-"""Plain-text format for algebra presentations, generator maps, and elements.
+"""Plain-text format for algebra presentations, generator maps, operator
+matrices, and elements.
 
-The relation catalog is stored as data, not code: presentations and maps are
-written in a small line-oriented language and parsed once at import time.
+The relation catalog is stored as data, not code: presentations, maps and
+operators are written in a small line-oriented language and parsed once at
+import time.
 
     algebra Aq
     gens e k kinv f
@@ -13,7 +15,14 @@ written in a small line-oriented language and parsed once at import time.
     e -> e(x)kinv + k(x)e
     k -> k(x)k
 
-Expression grammar (used for rule right-hand sides and map images):
+    operator L_osc Aq              # one line per row, entries split by ','
+    e, lam k
+    lam kinv + lam^-1 k, f
+
+    pairing osc R_sym L_osc Aq     # an exchange relation that closes
+
+Expression grammar (used for rule right-hand sides, map images and operator
+entries):
 
     expr    :=  [+|-] tensor ((+|-) tensor)*
     tensor  :=  prod ((x) prod)*          # legs are numbered left to right
@@ -22,26 +31,29 @@ Expression grammar (used for rule right-hand sides and map images):
 
 Names must be generators of the algebra at hand or ring variables; `(x)` is
 only legal at the top level of a map image.  `0` and `1` are the obvious
-scalars.  Comments run from `#` to end of line.
+scalars.  Operator entries live on site 0 of the operator's home algebra.
+Comments run from `#` to end of line.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .coeff import QLM, Coefficient
-from .ncpoly import GenMap, LocalWord, NCPoly, Presentation
+from .ncpoly import GenMap, LocalWord, NCPoly, Operator, Presentation
 
 __all__ = [
     "AlgTextError",
     "parse_poly",
     "load_algebras",
     "load_maps",
+    "load_operators",
     "poly_text",
     "presentation_text",
     "map_text",
+    "operator_text",
 ]
 
 
@@ -194,50 +206,57 @@ def _strip(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
-def load_algebras(text: str) -> dict[str, Presentation]:
-    """Parse `algebra` blocks into Presentation objects; order is preserved."""
-    out: dict[str, Presentation] = {}
-    name = None
-    vars_: tuple[str, ...] = QLM
-    gens: tuple[str, ...] = ()
-    rule_lines: list[str] = []
-    unit_lines: list[tuple[str, str]] = []
-
-    def flush():
-        nonlocal name, vars_, gens, rule_lines, unit_lines
-        if name is None:
-            return
-        if not gens:
-            raise AlgTextError(f"algebra {name} has no gens line")
-        out[name] = _build_presentation(name, gens, vars_, rule_lines, unit_lines)
-        name, vars_, gens = None, QLM, ()
-        rule_lines, unit_lines = [], []
-
+def _blocks(text: str, heads: tuple[str, ...]):
+    """Yield (head, rest of line, body lines) for each line whose first word
+    is one of `heads`; its body is the comment-free lines up to the next."""
+    block = None
     for raw in text.splitlines():
         line = _strip(raw)
         if not line:
             continue
         head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if head == "algebra":
-            flush()
-            name = rest
-        elif name is None:
-            raise AlgTextError(f"directive before any 'algebra' line: {line!r}")
-        elif head == "vars":
-            vars_ = tuple(rest.split())
-        elif head == "gens":
-            gens = tuple(rest.split())
-        elif head == "rule":
-            rule_lines.append(rest)
-        elif head == "unit":
-            pair = tuple(rest.split())
-            if len(pair) != 2:
-                raise AlgTextError(f"unit line needs two generators: {line!r}")
-            unit_lines.append(pair)
+        if head in heads:
+            if block is not None:
+                yield block
+            block = (head, rest.strip(), [])
+        elif block is None:
+            raise AlgTextError(f"{line!r} comes before any {'/'.join(heads)} line")
         else:
-            raise AlgTextError(f"unknown directive {head!r} in {line!r}")
-    flush()
+            block[2].append(line)
+    if block is not None:
+        yield block
+
+
+def _algebra(algebras: Mapping[str, Presentation], name: str) -> Presentation:
+    if name not in algebras:
+        raise AlgTextError(f"unknown algebra {name!r}")
+    return algebras[name]
+
+
+def load_algebras(text: str) -> dict[str, Presentation]:
+    """Parse `algebra` blocks into Presentation objects; order is preserved."""
+    out: dict[str, Presentation] = {}
+    for _, name, body in _blocks(text, ("algebra",)):
+        vars_, gens, rule_lines, unit_lines = QLM, (), [], []
+        for line in body:
+            head, _, rest = line.partition(" ")
+            rest = rest.strip()
+            if head == "vars":
+                vars_ = tuple(rest.split())
+            elif head == "gens":
+                gens = tuple(rest.split())
+            elif head == "rule":
+                rule_lines.append(rest)
+            elif head == "unit":
+                pair = tuple(rest.split())
+                if len(pair) != 2:
+                    raise AlgTextError(f"unit line needs two generators: {line!r}")
+                unit_lines.append(pair)
+            else:
+                raise AlgTextError(f"unknown directive {head!r} in {line!r}")
+        if not gens:
+            raise AlgTextError(f"algebra {name} has no gens line")
+        out[name] = _build_presentation(name, gens, vars_, rule_lines, unit_lines)
     return out
 
 
@@ -337,47 +356,26 @@ def poly_text(p: NCPoly, legs: int = 1) -> str:
 def load_maps(text: str, algebras: Mapping[str, Presentation]) -> dict[str, GenMap]:
     """Parse `map` blocks; sources/targets must be in `algebras`."""
     out: dict[str, GenMap] = {}
-    header = None  # (name, source, target, arity)
-    images: dict[str, NCPoly] = {}
-
-    def flush():
-        nonlocal header, images
-        if header is None:
-            return
-        name, src, tgt, arity = header
-        out[name] = GenMap(name, src, tgt, arity, images)
-        header, images = None, {}
-
-    for raw in text.splitlines():
-        line = _strip(raw)
-        if not line:
-            continue
-        if line.startswith("map "):
-            flush()
-            try:
-                name, sig = line[4:].split(None, 1)
-                src_name, arrow, tgt_spec = sig.partition("->")
-                if not arrow:
-                    raise ValueError
-            except ValueError:
-                raise AlgTextError(f"bad map header: {line!r}") from None
-            src = algebras[src_name.strip()]
-            tgt_names = [t.strip() for t in tgt_spec.strip().split(" x ")]
-            if len(set(tgt_names)) != 1 or len(tgt_names) not in (1, 2):
-                raise AlgTextError(f"target must be T or T x T: {line!r}")
-            header = (name, src, algebras[tgt_names[0]], len(tgt_names))
-        else:
-            if header is None:
-                raise AlgTextError(f"image line before any 'map' header: {line!r}")
+    for _, header, body in _blocks(text, ("map",)):
+        name, _, sig = header.partition(" ")
+        src_name, arrow, tgt_spec = sig.partition("->")
+        if not arrow:
+            raise AlgTextError(f"bad map header: 'map {header}'")
+        src = _algebra(algebras, src_name.strip())
+        tgt_names = [t.strip() for t in tgt_spec.strip().split(" x ")]
+        if len(set(tgt_names)) != 1 or len(tgt_names) not in (1, 2):
+            raise AlgTextError(f"target must be T or T x T: 'map {header}'")
+        tgt, arity = _algebra(algebras, tgt_names[0]), len(tgt_names)
+        images: dict[str, NCPoly] = {}
+        for line in body:
             gen_name, arrow, rhs = line.partition("->")
             if not arrow:
                 raise AlgTextError(f"image line without '->': {line!r}")
             gen_name = gen_name.strip()
-            _, src, tgt, arity = header
             if gen_name not in src.gens:
                 raise AlgTextError(f"{gen_name!r} is not a generator of {src.name}")
             images[gen_name] = parse_poly(rhs.strip(), tgt, legs=arity)
-    flush()
+        out[name] = GenMap(name, src, tgt, arity, images)
     return out
 
 
@@ -389,4 +387,54 @@ def map_text(m: GenMap) -> str:
         idx = m.source.index(g)
         if idx in m.images:
             lines.append(f"{g} -> {poly_text(m.images[idx], legs=m.arity)}")
+    return "\n".join(lines) + "\n"
+
+
+# --------------------------------------------------------------------------
+# operators and pairings
+# --------------------------------------------------------------------------
+
+Pairing = tuple[str, Operator, Operator, Presentation]
+
+
+def load_operators(
+    text: str, algebras: Mapping[str, Presentation]
+) -> tuple[dict[str, Operator], list[Pairing]]:
+    """Parse `operator` blocks (one line per row, entries split by commas)
+    and `pairing <name> <R> <L> <algebra>` lines naming operators above them;
+    text order is preserved."""
+    ops: dict[str, Operator] = {}
+    pairings: list[Pairing] = []
+    for head, rest, body in _blocks(text, ("operator", "pairing")):
+        words = rest.split()
+        if head == "pairing":
+            if len(words) != 4 or body:
+                raise AlgTextError(f"pairing needs a name, R, L and an algebra: {rest!r}")
+            name, r_name, l_name, alg_name = words
+            for op_name in (r_name, l_name):
+                if op_name not in ops:
+                    raise AlgTextError(f"pairing {name} names unknown operator {op_name}")
+            pairings.append((name, ops[r_name], ops[l_name], _algebra(algebras, alg_name)))
+            continue
+        if len(words) != 2:
+            raise AlgTextError(f"operator needs a name and an algebra: {rest!r}")
+        name, alg = words[0], _algebra(algebras, words[1])
+        if name in ops:
+            raise AlgTextError(f"duplicate operator {name}")
+        try:
+            ops[name] = Operator(name, alg, [[parse_poly(e, alg) for e in line.split(",")]
+                                             for line in body])
+        except ValueError as exc:  # AlgTextError included
+            raise AlgTextError(f"operator {name}: {exc}") from None
+    return ops, pairings
+
+
+def operator_text(operators: Iterable[Operator], pairings: Iterable[Pairing] = ()) -> str:
+    """Render operators and pairings back to the block format (round-trips)."""
+    lines = []
+    for op in operators:
+        lines.append(f"operator {op.__name__} {op.alg.name}")
+        lines += [", ".join(poly_text(p) for p in row) for row in op.rows]
+    lines += [f"pairing {name} {R.__name__} {L.__name__} {alg.name}"
+              for name, R, L, alg in pairings]
     return "\n".join(lines) + "\n"

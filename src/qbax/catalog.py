@@ -1,4 +1,4 @@
-"""The algebra/map catalog: presentations and generator maps as data.
+"""The catalog: presentations, generator maps and operator matrices as data.
 
 Everything here is declarative text parsed by `algtext` at import time; the
 checks in `identities` treat these objects as the single source of truth.
@@ -16,13 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algtext import load_algebras, load_maps
+from .algtext import load_algebras, load_maps, load_operators
 from .coeff import Coefficient
 from .ncpoly import GenMap, NCPoly, Presentation
 
 __all__ = [
     "ALGEBRAS",
     "MAPS",
+    "OPERATORS",
+    "PAIRINGS",
     "GLq2",
     "GLq2Ext",
     "GLq2ExtP",
@@ -225,8 +227,125 @@ d -> d
 """
 
 
+OPERATOR_TEXT = """
+# R-matrices on C^2 x C^2, rows and columns ordered 00, 01, 10, 11; their
+# entries are scalars, so any algebra can host them.  R_plus puts q on matched
+# pairs and q - q^-1 at (10, 01): the chirality under which the quantum-matrix
+# relations are exactly R+ T1 T2 = T2 T1 R+ (the transposed one fails it).
+operator R_plus GLq2
+q, 0, 0, 0
+0, 1, 0, 0
+0, q - q^-1, 1, 0
+0, 0, 0, q
+
+operator R_minus GLq2
+q^-1, 0, 0, 0
+0, 1, q^-1 - q, 0
+0, 0, 1, 0
+0, 0, 0, q^-1
+
+operator perm_P GLq2
+1, 0, 0, 0
+0, 0, 1, 0
+0, 1, 0, 0
+0, 0, 0, 1
+
+# R_hat(lam) = lam R_plus - lam^-1 R_minus, and its diagonal-twist companion
+# R_sym(lam), whose entries are differences w(x) = x - x^-1.
+operator R_hat GLq2
+q lam - q^-1 lam^-1, 0, 0, 0
+0, lam - lam^-1, (q - q^-1) lam^-1, 0
+0, (q - q^-1) lam, lam - lam^-1, 0
+0, 0, 0, q lam - q^-1 lam^-1
+
+operator R_sym GLq2
+q lam - q^-1 lam^-1, 0, 0, 0
+0, lam - lam^-1, q - q^-1, 0
+0, q - q^-1, lam - lam^-1, 0
+0, 0, 0, q lam - q^-1 lam^-1
+
+# L-operators on C^2.  The constant quantum matrix of the FRT construction,
+# then its spectral dressing (off-diagonals gain lam^+-1) and the row-swapped
+# companion with all entries carrying spectral weight.
+operator T_quantum_matrix GLq2
+a, b
+c, d
+operator L_quantum_matrix GLq2
+a, lam b
+lam^-1 c, d
+operator L_quantum_matrix_hat GLq2
+lam^-1 c, lam^-1 d
+lam a, lam b
+
+# Extended-algebra L: the lower-left entry mixes th and c.  The hatted one
+# is lam L_ext_plus + lam^-1 L_ext_minus (lower-triangular and upper-row).
+operator L_ext GLq2Ext
+a, lam b
+lam th + lam^-1 c, d
+operator L_ext_hat GLq2Ext
+lam th + lam^-1 c, lam^-1 d
+lam a, lam b
+operator L_ext_plus GLq2Ext
+th, 0
+a, b
+operator L_ext_minus GLq2Ext
+c, d
+0, 0
+
+# Oscillator-algebra L with both k and kinv in the lower-left entry.  The
+# discrete self-trapping L_qdst is the aux twist of L_osc_hat, conjugation by
+# X(lam) = diag(lam^1/2, lam^-1/2), which carries every exchange relation from
+# R_hat to R_sym: X1(lam mu) X2(mu) R_hat(lam) X1^-1 X2^-1 == R_sym(lam).  So
+# L_qdst pairs with R_sym though L_osc_hat pairs with R_hat.
+operator L_osc Aq
+e, lam k
+lam kinv + lam^-1 k, f
+operator L_osc_hat Aq
+lam kinv + lam^-1 k, lam^-1 f
+lam e, lam k
+operator L_qdst Aq
+lam kinv + lam^-1 k, f
+e, lam k
+
+# Weyl-pair L (image of L_ext under the collapse killing c) and its row swap;
+# L_weyl2 comes from the collapse killing b (lower-triangular); L_toda is the
+# relativistic Toda form reached from L_weyl2_hat by lam -> i lam.
+operator L_weyl Wq
+u, lam v
+lam vinv, ut
+operator L_weyl_flip Wq
+lam vinv, ut
+u, lam v
+operator L_weyl2 Wq
+u, 0
+lam vinv + lam^-1 v, ut
+operator L_weyl2_hat Wq
+lam vinv + lam^-1 v, lam^-1 ut
+lam u, 0
+operator L_toda Wq
+lam vinv - lam^-1 v, -ut
+u, 0
+
+# The exchange relations that close exactly: pairing <name> <R> <L> <algebra>.
+# The first nine are the primary set; the last two are byproduct pairings of
+# the row-swapped/hatted Weyl operators.
+pairing quantum-matrix R_sym L_quantum_matrix GLq2
+pairing quantum-matrix-hat R_hat L_quantum_matrix_hat GLq2
+pairing ext R_sym L_ext GLq2Ext
+pairing ext-hat R_hat L_ext_hat GLq2Ext
+pairing osc R_sym L_osc Aq
+pairing osc-hat R_hat L_osc_hat Aq
+pairing qdst R_sym L_qdst Aq
+pairing weyl R_sym L_weyl Wq
+pairing weyl2 R_sym L_weyl2 Wq
+pairing weyl-flip R_sym L_weyl_flip Wq
+pairing weyl2-hat R_hat L_weyl2_hat Wq
+"""
+
+
 ALGEBRAS: dict[str, Presentation] = load_algebras(ALGEBRA_TEXT)
 MAPS: dict[str, GenMap] = load_maps(MAP_TEXT, ALGEBRAS)
+OPERATORS, PAIRINGS = load_operators(OPERATOR_TEXT, ALGEBRAS)
 
 GLq2 = ALGEBRAS["GLq2"]
 GLq2Ext = ALGEBRAS["GLq2Ext"]
@@ -256,16 +375,14 @@ def eta_dprime(alg: Presentation, site: int = 0) -> NCPoly:
     return alg.gen("th", site) * alg.gen("c", site)
 
 
-def casimir_osc(alg: Presentation = None, site: int = 0) -> NCPoly:
+def casimir_osc(alg: Presentation = Aq, site: int = 0) -> NCPoly:
     """e.f - q k.k — central in the oscillator algebra."""
-    alg = Aq if alg is None else alg
     q = alg.param("q")
     return alg.gen("e", site) * alg.gen("f", site) - q * alg.gen("k", site) * alg.gen("k", site)
 
 
-def casimir_weyl(alg: Presentation = None, site: int = 0) -> NCPoly:
+def casimir_weyl(alg: Presentation = Wq, site: int = 0) -> NCPoly:
     """u.ut — central in the Weyl-pair algebra."""
-    alg = Wq if alg is None else alg
     return alg.gen("u", site) * alg.gen("ut", site)
 
 

@@ -23,7 +23,7 @@ identity matrix.
 
 Everything else in this module is generic numeric evaluation: turning
 operator polynomials into matrices on (C^N)^(tensor n_sites), checking
-presentation relations as residual norms, assembling the 4N x 4N
+presentation relations as residual norms, evaluating the exact 4N x 4N
 exchange-relation residual R12 L13 L23 - L23 L13 R12, transfer-matrix
 commutators, and a discrete-Fourier fit of the self-trapping transfer
 matrix against its conserved charges.
@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .coeff import Coefficient
 from .ncpoly import NCPoly, Presentation
-from .lmatrices import OpMatrix, L_qdst, monodromy, qdst_charges, transfer
+from .lmatrices import (OpMatrix, L_qdst, monodromy, qdst_charges, rll_defect,
+                        transfer)
 
 __all__ = [
     "root_of_unity",
@@ -196,35 +196,23 @@ def _values(q_val: complex, lam: complex) -> dict[str, complex]:
     return {"q": q_val, "lam": lam, "mu": 1.0}
 
 
+@lru_cache(maxsize=32)
+def _free_rll_defect(R_builder, L_builder, alg: Presentation) -> OpMatrix:
+    return rll_defect(R_builder, L_builder, alg.free_copy())
+
+
 def rll_residual_num(R_builder, L_builder, alg: Presentation,
                      rep: dict[str, np.ndarray], x: complex, y: complex,
                      q_val: complex) -> float:
-    """Frobenius norm of R12(x/y) L1(x) L2(y) - L2(y) L1(x) R12(x/y).
+    """Frobenius norm of R12(x/y) L13(x) L23(y) - L23(y) L13(x) R12(x/y).
 
-    The two auxiliary legs and one quantum leg give a 4N x 4N problem; the
-    kernel argument is the ratio of the two evaluation points.
+    Evaluates the exact exchange residual `rll_defect` over alg.free_copy()
+    (built once per (R, L, alg)) at lam = x/y, mu = y: a 4N x 4N problem of
+    two auxiliary legs and one quantum leg.
     """
-    N = next(iter(rep.values())).shape[0]
-    Rm = R_builder(alg)
-    R4 = np.array(
-        [[complex(Rm[i][j].terms.get((), Coefficient.zero(alg.vars))
-                  .evaluate(_values(q_val, x / y))) for j in range(4)]
-         for i in range(4)])
-    Lx = numeric_opmatrix(L_builder(alg), rep, 1, _values(q_val, x))
-    Ly = numeric_opmatrix(L_builder(alg), rep, 1, _values(q_val, y))
-
-    L13 = np.zeros((2, 2, N, 2, 2, N), dtype=complex)
-    L23 = np.zeros((2, 2, N, 2, 2, N), dtype=complex)
-    for a in range(2):
-        for a2 in range(2):
-            for b in range(2):
-                L13[a, b, :, a2, b, :] = Lx[a, a2]
-                L23[b, a, :, b, a2, :] = Ly[a, a2]
-    L13 = L13.reshape(4 * N, 4 * N)
-    L23 = L23.reshape(4 * N, 4 * N)
-    R12 = np.kron(R4, np.eye(N, dtype=complex))
-    res = R12 @ L13 @ L23 - L23 @ L13 @ R12
-    return float(np.linalg.norm(res))
+    res = _free_rll_defect(R_builder, L_builder, alg)
+    values = {"q": q_val, "lam": x / y, "mu": y}
+    return float(np.linalg.norm(numeric_opmatrix(res, rep, 1, values)))
 
 
 def _transfers(L_builder, alg: Presentation, rep: dict[str, np.ndarray],

@@ -57,13 +57,14 @@ from .lmatrices import (
     L_osc_hat,
     L_qdst,
     L_quantum_matrix,
+    L_toda,
     L_weyl2_hat,
     R_hat,
     R_minus,
     R_plus,
     R_sym,
+    T_quantum_matrix,
     aux_twist,
-    embed,
     perm_P,
     qdet,
     qdet_scan,
@@ -673,7 +674,7 @@ def _counit_weyl():
 @_identity("hecke-difference", "R+ - R- == (q - q^-1) P")
 def _hecke_difference():
     w = GLq2.param("q") - GLq2.param("q", -1)
-    return _zero_mat(R_plus(GLq2) - R_minus(GLq2) - perm_P(GLq2).scale_poly(w))
+    return _zero_mat(R_plus() - R_minus() - perm_P().map_entries(lambda p: p * w))
 
 
 @_identity("hecke-inverse", "P R+ P R- == 1 (the two constant R's are inverse up to flip)")
@@ -720,14 +721,8 @@ def _ybe_rhat():
 
 for _sign, _Rb in (("plus", R_plus), ("minus", R_minus)):
     def _frt(Rb=_Rb):
-        T = OpMatrix(GLq2, [
-            [GLq2.gen("a"), GLq2.gen("b")],
-            [GLq2.gen("c"), GLq2.gen("d")],
-        ])
-        R12 = embed(Rb(GLq2), (0, 1), 2)
-        T1 = embed(T, (0,), 2)
-        T2 = embed(T, (1,), 2)
-        return _zero_mat((R12 @ T1 @ T2) - (T2 @ T1 @ R12))
+        # T is constant, so this is the exchange law without spectral weights
+        return _zero_mat(rll_defect(Rb, T_quantum_matrix, GLq2))
 
     _identity(
         f"frt-constant-{_sign}",
@@ -883,13 +878,7 @@ def _qdst_rescale():
 )
 def _toda_twist():
     rotated = L_weyl2_hat(Wq).map_entries(lambda p: subst_i_lam(p, -1))
-    got = aux_twist(rotated)
-    lam, lam_inv = Wq.param("lam"), Wq.param("lam", -1)
-    want = OpMatrix(Wq, [
-        [lam * Wq.gen("vinv") - lam_inv * Wq.gen("v"), -Wq.gen("ut")],
-        [Wq.gen("u"), Wq.zero()],
-    ])
-    return _zero_mat(got - want)
+    return _zero_mat(aux_twist(rotated) - L_toda())
 
 
 # --------------------------------------------------------------------------

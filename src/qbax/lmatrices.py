@@ -1,8 +1,9 @@
 """R-matrices, L-matrices, exchange relations, and transfer matrices.
 
-Matrices carry NCPoly entries; the auxiliary space is C^2 (or tensor powers
-of it, via `embed`), the quantum space is a site of the algebra.  The
-exchange-relation check is
+The R- and L-matrices are catalog text (`catalog.OPERATOR_TEXT`), bound here
+to their own names; op(alg=None, site=0) is the OpMatrix of NCPoly entries
+over `alg` at quantum site `site`.  The auxiliary space is C^2 (or tensor
+powers of it, via `embed`).  The exchange-relation check is
 
     R12(lam) . L13(lam*mu) . L23(mu)  ==  L23(mu) . L13(lam*mu) . R12(lam)
 
@@ -14,17 +15,16 @@ Two R-matrix normalizations appear: the Laurent combination
 R_hat(lam) = lam R_plus - lam^-1 R_minus, and its diagonal-twist companion
 R_sym(lam) whose entries are differences w(x) = x - x^-1.  Each L-operator
 pairs with the normalization under which its exchange relation closes; the
-pairings that hold are recorded in PAIRINGS.
+catalog's PAIRINGS lines record the pairings that hold.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .catalog import Aq, GLq2, GLq2Ext, Wq
+from .catalog import GLq2Ext, OPERATORS, PAIRINGS
 from .coeff import Coefficient
-from .ncpoly import NCPoly, Presentation
+from .ncpoly import NCPoly, OpMatrix, Presentation
 
 __all__ = [
     "OpMatrix",
@@ -50,6 +50,8 @@ __all__ = [
     "L_weyl_flip",
     "L_weyl2",
     "L_weyl2_hat",
+    "T_quantum_matrix",
+    "L_toda",
     "PAIRINGS",
     "rll_defect",
     "ybe_defect",
@@ -65,109 +67,6 @@ __all__ = [
     "slot_prediction_defects",
     "slot_quotient_defects",
 ]
-
-
-class OpMatrix:
-    """A dense matrix of NCPoly entries over one presentation."""
-
-    def __init__(self, alg: Presentation, rows: Sequence[Sequence[NCPoly]]):
-        self.alg = alg
-        self.rows = [list(r) for r in rows]
-        self.n = len(self.rows)
-        for r in self.rows:
-            if len(r) != self.n:
-                raise ValueError("OpMatrix must be square")
-
-    @classmethod
-    def zeros(cls, alg: Presentation, n: int) -> "OpMatrix":
-        return cls(alg, [[alg.zero() for _ in range(n)] for _ in range(n)])
-
-    @classmethod
-    def identity(cls, alg: Presentation, n: int) -> "OpMatrix":
-        m = cls.zeros(alg, n)
-        for i in range(n):
-            m.rows[i][i] = alg.one()
-        return m
-
-    def __getitem__(self, i: int) -> list[NCPoly]:
-        return self.rows[i]
-
-    def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        out = OpMatrix.zeros(self.alg, self.n)
-        for i in range(self.n):
-            for j in range(self.n):
-                acc = self.alg.zero()
-                for k in range(self.n):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                out.rows[i][j] = acc
-        return out
-
-    def __add__(self, other: "OpMatrix") -> "OpMatrix":
-        return OpMatrix(
-            self.alg,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
-
-    def __sub__(self, other: "OpMatrix") -> "OpMatrix":
-        return OpMatrix(
-            self.alg,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
-
-    def __neg__(self) -> "OpMatrix":
-        return OpMatrix(self.alg, [[-a for a in r] for r in self.rows])
-
-    def scale(self, value) -> "OpMatrix":
-        return OpMatrix(self.alg, [[a.scale(value) for a in r] for r in self.rows])
-
-    def scale_poly(self, p: NCPoly) -> "OpMatrix":
-        return OpMatrix(self.alg, [[a * p for a in r] for r in self.rows])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OpMatrix):
-            return NotImplemented
-        return self.alg is other.alg and self.rows == other.rows
-
-    def map_entries(self, fn: Callable[[NCPoly], NCPoly]) -> "OpMatrix":
-        return OpMatrix(self.alg, [[fn(a) for a in r] for r in self.rows])
-
-    def map_entries_to(self, alg: Presentation, fn) -> "OpMatrix":
-        return OpMatrix(alg, [[fn(a) for a in r] for r in self.rows])
-
-    def spread_param(self, src: str, dsts) -> "OpMatrix":
-        return self.map_entries(lambda p: p.spread_param(src, dsts))
-
-    def coefficient_of(self, name: str, power: int) -> "OpMatrix":
-        return self.map_entries(lambda p: p.coefficient_of(name, power))
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for r in self.rows for p in r)
-
-    def nonzero_entries(self) -> list[tuple[int, int, NCPoly]]:
-        return [
-            (i, j, p)
-            for i, r in enumerate(self.rows)
-            for j, p in enumerate(r)
-            if not p.is_zero()
-        ]
-
-    def trace(self) -> NCPoly:
-        acc = self.alg.zero()
-        for i in range(self.n):
-            acc = acc + self.rows[i][i]
-        return acc
-
-    def param_degrees(self, name: str) -> set[int]:
-        degs: set[int] = set()
-        for r in self.rows:
-            for p in r:
-                degs |= p.param_degrees(name)
-        return degs
-
-    def __repr__(self):
-        return f"OpMatrix({self.n}x{self.n} over {self.alg.name})"
 
 
 def embed(M: OpMatrix, legs: tuple[int, ...], n_legs: int) -> OpMatrix:
@@ -221,187 +120,11 @@ def r_twist(R: OpMatrix, param: str = "lam") -> OpMatrix:
     return weight_twist(R, (0, -1, 1, 0), param)
 
 
-# --------------------------------------------------------------------------
-# R-matrices (entries are scalars of whatever algebra hosts the check)
-# --------------------------------------------------------------------------
-
-def _w(alg: Presentation, qpow: int, lpow: int) -> NCPoly:
-    """w(q^qpow lam^lpow) = q^qpow lam^lpow - q^-qpow lam^-lpow as a scalar."""
-    plus = Coefficient.monomial(alg.vars, 1, q=qpow, lam=lpow)
-    minus = Coefficient.monomial(alg.vars, -1, q=-qpow, lam=-lpow)
-    return alg.scalar(plus + minus)
-
-
-def R_plus(alg: Presentation) -> OpMatrix:
-    """Constant upper R: q on matched pairs, q - q^-1 feeding (1,0) <- (0,1).
-
-    The chirality (exchange entry at row (1,0), column (0,1)) is the one under
-    which the catalog's quantum-matrix relations are exactly the constant
-    exchange law R+ T1 T2 = T2 T1 R+; the transposed placement fails it.
-    """
-    q = alg.param("q")
-    qq = alg.param("q") - alg.param("q", -1)
-    o, z = alg.one(), alg.zero()
-    return OpMatrix(alg, [[q, z, z, z], [z, o, z, z], [z, qq, o, z], [z, z, z, q]])
-
-
-def R_minus(alg: Presentation) -> OpMatrix:
-    qi = alg.param("q", -1)
-    qq = alg.param("q") - alg.param("q", -1)
-    o, z = alg.one(), alg.zero()
-    return OpMatrix(alg, [[qi, z, z, z], [z, o, -qq, z], [z, z, o, z], [z, z, z, qi]])
-
-
-def perm_P(alg: Presentation) -> OpMatrix:
-    o, z = alg.one(), alg.zero()
-    return OpMatrix(alg, [[o, z, z, z], [z, z, o, z], [z, o, z, z], [z, z, z, o]])
-
-
-def R_hat(alg: Presentation) -> OpMatrix:
-    lam = alg.param("lam")
-    lam_inv = alg.param("lam", -1)
-    return R_plus(alg).scale_poly(lam) - R_minus(alg).scale_poly(lam_inv)
-
-
-def R_sym(alg: Presentation) -> OpMatrix:
-    z = alg.zero()
-    wql = _w(alg, 1, 1)  # q lam - q^-1 lam^-1
-    wl = _w(alg, 0, 1)  # lam - lam^-1
-    wq = _w(alg, 1, 0)  # q - q^-1
-    return OpMatrix(
-        alg,
-        [[wql, z, z, z], [z, wl, wq, z], [z, wq, wl, z], [z, z, z, wql]],
-    )
-
-
-# --------------------------------------------------------------------------
-# L-matrices
-# --------------------------------------------------------------------------
-
-def L_quantum_matrix(alg: Presentation = None, site: int = 0) -> OpMatrix:
-    """Spectral dressing of the quantum-matrix generators: off-diagonals gain lam^±1."""
-    alg = GLq2 if alg is None else alg
-    lam, lam_inv = alg.param("lam"), alg.param("lam", -1)
-    a, b, c, d = (alg.gen(g, site) for g in "abcd")
-    return OpMatrix(alg, [[a, lam * b], [lam_inv * c, d]])
-
-
-def L_quantum_matrix_hat(alg: Presentation = None, site: int = 0) -> OpMatrix:
-    """Row-swapped companion with all entries carrying spectral weight."""
-    alg = GLq2 if alg is None else alg
-    lam, lam_inv = alg.param("lam"), alg.param("lam", -1)
-    a, b, c, d = (alg.gen(g, site) for g in "abcd")
-    return OpMatrix(alg, [[lam_inv * c, lam_inv * d], [lam * a, lam * b]])
-
-
-def L_ext(alg: Presentation = None, site: int = 0) -> OpMatrix:
-    """Extended-algebra L: the lower-left entry mixes th and c."""
-    alg = GLq2Ext if alg is None else alg
-    lam, lam_inv = alg.param("lam"), alg.param("lam", -1)
-    a, b, c, d, th = (alg.gen(g, site) for g in ("a", "b", "c", "d", "th"))
-    return OpMatrix(alg, [[a, lam * b], [lam * th + lam_inv * c, d]])
-
-
-def L_ext_hat(alg: Presentation = None, site: int = 0) -> OpMatrix:
-    alg = GLq2Ext if alg is None else alg
-    lam, lam_inv = alg.param("lam"), alg.param("lam", -1)
-    a, b, c, d, th = (alg.gen(g, site) for g in ("a", "b", "c", "d", "th"))
-    return OpMatrix(alg, [[lam * th + lam_inv * c, lam_inv * d], [lam * a, lam * b]])
-
-
-def L_ext_plus(alg: Presentation = None, site: int = 0) -> OpMatrix:
-    """Lower-triangular factor of L_ext_hat: L_ext_hat = lam (+) + lam^-1 (-)."""
-    alg = GLq2Ext if alg is None else alg
-    z = alg.zero()
-    return OpMatrix(alg, [[alg.gen("th", site), z], [alg.gen("a", site), alg.gen("b", site)]])
-
-
-def L_ext_minus(alg: Presentation = None, site: int = 0) -> OpMatrix:
-    """Upper-row factor of L_ext_hat."""
-    alg = GLq2Ext if alg is None else alg
-    z = alg.zero()
-    return OpMatrix(alg, [[alg.gen("c", site), alg.gen("d", site)], [z, z]])
-
-
-def L_osc(alg: Presentation = None, site: int = 0) -> OpMatrix:
-    """Oscillator-algebra L with both k and kinv in the lower-left entry."""
-    alg = Aq if alg is None else alg
-    lam, lam_inv = alg.param("lam"), alg.param("lam", -1)
-    e, k, kinv, f = (alg.gen(g, site) for g in ("e", "k", "kinv", "f"))
-    return OpMatrix(alg, [[e, lam * k], [lam * kinv + lam_inv * k, f]])
-
-
-def L_osc_hat(alg: Presentation = None, site: int = 0) -> OpMatrix:
-    alg = Aq if alg is None else alg
-    lam, lam_inv = alg.param("lam"), alg.param("lam", -1)
-    e, k, kinv, f = (alg.gen(g, site) for g in ("e", "k", "kinv", "f"))
-    return OpMatrix(alg, [[lam * kinv + lam_inv * k, lam_inv * f], [lam * e, lam * k]])
-
-
-def L_qdst(alg: Presentation = None, site: int = 0) -> OpMatrix:
-    """Discrete self-trapping chain L: the aux twist of L_osc_hat.
-
-    The twist is conjugation by X(lam) = diag(lam^1/2, lam^-1/2), which
-    moves every exchange relation from the R_hat normalization to the
-    R_sym one: X1(lam*mu) X2(mu) R_hat(lam) X1^-1 X2^-1 == R_sym(lam).
-    Hence this operator pairs with R_sym even though L_osc_hat pairs
-    with R_hat.
-    """
-    alg = Aq if alg is None else alg
-    lam, lam_inv = alg.param("lam"), alg.param("lam", -1)
-    e, k, kinv, f = (alg.gen(g, site) for g in ("e", "k", "kinv", "f"))
-    return OpMatrix(alg, [[lam * kinv + lam_inv * k, f], [e, lam * k]])
-
-
-def L_weyl(alg: Presentation = None, site: int = 0) -> OpMatrix:
-    """Weyl-pair L (image of L_ext under the collapse killing c)."""
-    alg = Wq if alg is None else alg
-    lam = alg.param("lam")
-    u, ut, v, vinv = (alg.gen(g, site) for g in ("u", "ut", "v", "vinv"))
-    return OpMatrix(alg, [[u, lam * v], [lam * vinv, ut]])
-
-
-def L_weyl_flip(alg: Presentation = None, site: int = 0) -> OpMatrix:
-    """Row swap of L_weyl."""
-    alg = Wq if alg is None else alg
-    lam = alg.param("lam")
-    u, ut, v, vinv = (alg.gen(g, site) for g in ("u", "ut", "v", "vinv"))
-    return OpMatrix(alg, [[lam * vinv, ut], [u, lam * v]])
-
-
-def L_weyl2(alg: Presentation = None, site: int = 0) -> OpMatrix:
-    """Weyl-pair L from the collapse killing b (lower-triangular)."""
-    alg = Wq if alg is None else alg
-    lam, lam_inv = alg.param("lam"), alg.param("lam", -1)
-    u, ut, v, vinv = (alg.gen(g, site) for g in ("u", "ut", "v", "vinv"))
-    return OpMatrix(alg, [[u, alg.zero()], [lam * vinv + lam_inv * v, ut]])
-
-
-def L_weyl2_hat(alg: Presentation = None, site: int = 0) -> OpMatrix:
-    alg = Wq if alg is None else alg
-    lam, lam_inv = alg.param("lam"), alg.param("lam", -1)
-    u, ut, v, vinv = (alg.gen(g, site) for g in ("u", "ut", "v", "vinv"))
-    return OpMatrix(
-        alg, [[lam * vinv + lam_inv * v, lam_inv * ut], [lam * u, alg.zero()]]
-    )
-
-
-# The exchange-relation pairings that close exactly: (name, R builder,
-# L builder, algebra).  The first nine are the primary set; the last two are
-# byproduct pairings of the row-swapped/hatted Weyl operators.
-PAIRINGS: list[tuple[str, Callable, Callable, Presentation]] = [
-    ("quantum-matrix", R_sym, L_quantum_matrix, GLq2),
-    ("quantum-matrix-hat", R_hat, L_quantum_matrix_hat, GLq2),
-    ("ext", R_sym, L_ext, GLq2Ext),
-    ("ext-hat", R_hat, L_ext_hat, GLq2Ext),
-    ("osc", R_sym, L_osc, Aq),
-    ("osc-hat", R_hat, L_osc_hat, Aq),
-    ("qdst", R_sym, L_qdst, Aq),
-    ("weyl", R_sym, L_weyl, Wq),
-    ("weyl2", R_sym, L_weyl2, Wq),
-    ("weyl-flip", R_sym, L_weyl_flip, Wq),
-    ("weyl2-hat", R_hat, L_weyl2_hat, Wq),
-]
+# The catalog's operators under their own names, in OPERATOR_TEXT order.
+(R_plus, R_minus, perm_P, R_hat, R_sym, T_quantum_matrix, L_quantum_matrix,
+ L_quantum_matrix_hat, L_ext, L_ext_hat, L_ext_plus, L_ext_minus, L_osc,
+ L_osc_hat, L_qdst, L_weyl, L_weyl_flip, L_weyl2, L_weyl2_hat,
+ L_toda) = OPERATORS.values()
 
 
 # --------------------------------------------------------------------------
@@ -418,9 +141,8 @@ def rll_defect(R_builder, L_builder, alg: Presentation) -> OpMatrix:
     return (R12 @ L13 @ L23) - (L23 @ L13 @ R12)
 
 
-def ybe_defect(R_builder, alg: Presentation = None) -> OpMatrix:
+def ybe_defect(R_builder, alg: Presentation | None = None) -> OpMatrix:
     """R12(lam) R13(lam mu) R23(mu) - R23(mu) R13(lam mu) R12(lam) on C^8."""
-    alg = GLq2 if alg is None else alg
     R = R_builder(alg)
     R12 = embed(R, (0, 1), 3)
     R13 = embed(R.spread_param("lam", ("lam", "mu")), (0, 2), 3)
@@ -480,7 +202,6 @@ def transfer_commutation_defect(L_builder, alg: Presentation, n_sites: int) -> N
 def qdst_charges(alg: Presentation, n_sites: int) -> tuple[NCPoly, NCPoly]:
     """(Q, H): product of k's, and the hopping charge whose product with Q is
     the lam^0 part of the two-site qdst transfer matrix."""
-    alg = Aq if alg is None else alg
     Q = alg.one()
     for s in range(n_sites):
         Q = Q * alg.gen("k", s)
@@ -527,16 +248,6 @@ def subst_i_lam(p: NCPoly, extra_i_power: int = 0) -> NCPoly:
 # constant-block decomposition of the hatted exchange relation
 # --------------------------------------------------------------------------
 
-def _hatted_residual_free() -> tuple[Presentation, OpMatrix]:
-    """The ext-hat exchange residual over the free (rule-less) algebra."""
-    free = GLq2Ext.free_copy()
-    R12 = embed(R_hat(free), (0, 1), 2)
-    L = L_ext_hat(free, site=0)
-    L13 = embed(L.spread_param("lam", ("lam", "mu")), (0,), 2)
-    L23 = embed(L.spread_param("lam", ("mu",)), (1,), 2)
-    return free, (R12 @ L13 @ L23) - (L23 @ L13 @ R12)
-
-
 def slot_grid(free: Presentation) -> dict[tuple[int, int], OpMatrix]:
     """Predicted (lam^a, mu^b) coefficient blocks of the free ext-hat residual.
 
@@ -571,7 +282,8 @@ def slot_prediction_defects() -> dict[tuple[int, int], OpMatrix]:
     Also covers completeness — degrees outside the grid are extracted too and
     must match the (zero) prediction.
     """
-    free, res = _hatted_residual_free()
+    res = rll_defect(R_hat, L_ext_hat, GLq2Ext.free_copy())
+    free = res.alg
     grid = slot_grid(free)
     degrees = {
         (a, b)

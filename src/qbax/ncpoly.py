@@ -27,6 +27,8 @@ from .coeff import QLM, Coefficient
 __all__ = [
     "Presentation",
     "NCPoly",
+    "OpMatrix",
+    "Operator",
     "GenMap",
     "PartialMapError",
     "ConfluenceResult",
@@ -356,6 +358,146 @@ def _normal_form(alg: Presentation, raw: Mapping[Word, Coefficient]) -> dict[Wor
             else:
                 out.pop(w, None)
     return out
+
+
+# --------------------------------------------------------------------------
+# operator matrices
+# --------------------------------------------------------------------------
+
+class OpMatrix:
+    """A dense matrix of NCPoly entries over one presentation."""
+
+    def __init__(self, alg: Presentation, rows: Sequence[Sequence[NCPoly]]):
+        self.alg = alg
+        self.rows = [list(r) for r in rows]
+        self.n = len(self.rows)
+        for r in self.rows:
+            if len(r) != self.n:
+                raise ValueError("OpMatrix must be square")
+
+    @classmethod
+    def zeros(cls, alg: Presentation, n: int) -> "OpMatrix":
+        return cls(alg, [[alg.zero() for _ in range(n)] for _ in range(n)])
+
+    @classmethod
+    def identity(cls, alg: Presentation, n: int) -> "OpMatrix":
+        m = cls.zeros(alg, n)
+        for i in range(n):
+            m.rows[i][i] = alg.one()
+        return m
+
+    def __getitem__(self, i: int) -> list[NCPoly]:
+        return self.rows[i]
+
+    def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
+        if self.n != other.n:
+            raise ValueError("size mismatch")
+        out = OpMatrix.zeros(self.alg, self.n)
+        for i in range(self.n):
+            for j in range(self.n):
+                acc = self.alg.zero()
+                for k in range(self.n):
+                    a, b = self.rows[i][k], other.rows[k][j]
+                    if a.terms and b.terms:  # embedded matrices are mostly zero
+                        acc = acc + a * b
+                out.rows[i][j] = acc
+        return out
+
+    def __add__(self, other: "OpMatrix") -> "OpMatrix":
+        return OpMatrix(
+            self.alg,
+            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+        )
+
+    def __sub__(self, other: "OpMatrix") -> "OpMatrix":
+        return OpMatrix(
+            self.alg,
+            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+        )
+
+    def __neg__(self) -> "OpMatrix":
+        return OpMatrix(self.alg, [[-a for a in r] for r in self.rows])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OpMatrix):
+            return NotImplemented
+        return self.alg is other.alg and self.rows == other.rows
+
+    def map_entries(self, fn: Callable[[NCPoly], NCPoly]) -> "OpMatrix":
+        return OpMatrix(self.alg, [[fn(a) for a in r] for r in self.rows])
+
+    def map_entries_to(self, alg: Presentation, fn) -> "OpMatrix":
+        return OpMatrix(alg, [[fn(a) for a in r] for r in self.rows])
+
+    def spread_param(self, src: str, dsts) -> "OpMatrix":
+        return self.map_entries(lambda p: p.spread_param(src, dsts))
+
+    def coefficient_of(self, name: str, power: int) -> "OpMatrix":
+        return self.map_entries(lambda p: p.coefficient_of(name, power))
+
+    def is_zero(self) -> bool:
+        return all(p.is_zero() for r in self.rows for p in r)
+
+    def nonzero_entries(self) -> list[tuple[int, int, NCPoly]]:
+        return [
+            (i, j, p)
+            for i, r in enumerate(self.rows)
+            for j, p in enumerate(r)
+            if not p.is_zero()
+        ]
+
+    def trace(self) -> NCPoly:
+        acc = self.alg.zero()
+        for i in range(self.n):
+            acc = acc + self.rows[i][i]
+        return acc
+
+    def param_degrees(self, name: str) -> set[int]:
+        degs: set[int] = set()
+        for r in self.rows:
+            for p in r:
+                degs |= p.param_degrees(name)
+        return degs
+
+    def __repr__(self):
+        return f"OpMatrix({self.n}x{self.n} over {self.alg.name})"
+
+
+class Operator:
+    """A named square matrix on site 0 of a home algebra, linear in the
+    generators (declared as text, see `algtext.load_operators`).
+
+    op(alg=None, site=0) is its OpMatrix over `alg` (default: the home
+    algebra), letters matched by generator name and moved to `site`; being
+    linear, the entries stay normal whatever the generator order of `alg`.
+    """
+
+    def __init__(self, name: str, alg: Presentation,
+                 rows: Sequence[Sequence[NCPoly]]):
+        self.__name__ = name
+        self.alg = alg
+        self.rows = tuple(tuple(r) for r in rows)
+        if not self.rows or any(len(r) != len(self.rows) for r in self.rows):
+            raise ValueError(f"rows of lengths {[len(r) for r in self.rows]} "
+                             "are not square")
+        if any(len(w) > 1 for r in self.rows for p in r for w in p.terms):
+            raise ValueError("an entry is not linear in the generators")
+
+    def __call__(self, alg: Presentation | None = None, site: int = 0) -> OpMatrix:
+        if alg is None:
+            alg = self.alg
+        names = self.alg.gens
+        index = {i: alg.index(g) for i, g in enumerate(names) if g in alg.gens}
+
+        def move(p: NCPoly) -> NCPoly:
+            try:
+                return NCPoly(alg, {tuple((site + s, index[g]) for s, g in w): c
+                                    for w, c in p.terms.items()}, normalized=True)
+            except KeyError as exc:
+                raise ValueError(f"{self.__name__}: {alg.name} has no generator "
+                                 f"{names[exc.args[0]]!r}") from None
+
+        return OpMatrix(alg, [[move(p) for p in row] for row in self.rows])
 
 
 # --------------------------------------------------------------------------

@@ -1,18 +1,32 @@
+import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from qbax import lmatrices
 from qbax.algtext import (
     AlgTextError,
     load_algebras,
     load_maps,
+    load_operators,
     map_text,
+    operator_text,
     parse_poly,
     poly_text,
     presentation_text,
 )
-from qbax.catalog import ALGEBRAS, MAPS, Aq, GLq2
+from qbax.catalog import (
+    ALGEBRAS,
+    MAPS,
+    OPERATORS,
+    PAIRINGS,
+    Aq,
+    GLq2,
+    GLq2ExtP,
+    GLq2ExtPP,
+)
 from qbax.ncpoly import random_poly
 
 
@@ -65,3 +79,62 @@ def test_poly_text_round_trip_on_random_elements():
         for _ in range(30):
             p = random_poly(alg, rng, n_terms=3, max_len=4)
             assert parse_poly(poly_text(p), alg) == p
+
+
+def test_operator_round_trip():
+    text = operator_text(OPERATORS.values(), PAIRINGS)
+    ops, pairings = load_operators(text, ALGEBRAS)
+    assert list(ops) == list(OPERATORS)
+    for name, op in OPERATORS.items():
+        assert ops[name].__name__ == name and ops[name].alg is op.alg
+        assert ops[name]() == op(), f"{name} changed in round trip"
+    assert [(n, R.__name__, L.__name__, alg) for n, R, L, alg in pairings] == \
+        [(n, R.__name__, L.__name__, alg) for n, R, L, alg in PAIRINGS]
+    assert operator_text(ops.values(), pairings) == text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("operator L_bad Aq\ne, k\nf\n", "operator L_bad: rows of lengths [2, 1]"),
+    ("operator L_bad Aq\ne, k, f\nk, e, f\n", "operator L_bad: rows of lengths [3, 3]"),
+    ("operator L_bad Aq\n", "operator L_bad: rows of lengths []"),
+    ("operator L_bad Aq\ne, u\nk, f\n", "operator L_bad: unknown symbol 'u'"),
+    ("operator L_bad Aq\ne.f\n", "operator L_bad: an entry is not linear"),
+    ("operator L_bad Aq\ne\noperator L_bad Aq\nk\n", "duplicate operator L_bad"),
+    ("operator L_bad Aq\ne\npairing p R_sym L_bad Aq\n",
+     "pairing p names unknown operator R_sym"),
+    ("operator L_bad Nope\ne\n", "unknown algebra 'Nope'"),
+    ("e, k\n", "comes before any operator/pairing line"),
+])
+def test_malformed_operator_text_is_rejected(text, message):
+    with pytest.raises(AlgTextError, match=re.escape(message)):
+        load_operators(text, ALGEBRAS)
+
+
+# sha256 of the rendering below, pinned while the operators were still
+# hand-written Python builders, so that a transcription slip in the
+# operator text fails
+OPERATOR_DIGEST = "f25ab42e5cc3357f9d6f319885ef37bca1e68ae2ed146b659b7b58a506eb8019"
+
+
+def test_operator_entries_match_the_pinned_digest():
+    def render(M):
+        return "; ".join(poly_text(p, legs=3) for row in M.rows for p in row)
+
+    names = [n for n in OPERATORS if n not in ("T_quantum_matrix", "L_toda")]
+    assert len(names) == 18
+    lines = [f"{name} site {site}: "
+             f"{render(getattr(lmatrices, name)(OPERATORS[name].alg, site=site))}"
+             for name in names for site in (0, 2)]
+    lines += [f"{name} over {alg.name}: {render(getattr(lmatrices, name)(alg))}"
+              for name in ("L_ext_plus", "L_ext_minus")
+              for alg in (GLq2ExtP, GLq2ExtPP)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == OPERATOR_DIGEST
+
+
+def test_operator_rehoming_matches_generators_by_name():
+    # GLq2ExtP orders th before c, so indices differ from GLq2Ext's
+    L = lmatrices.L_ext_plus(GLq2ExtP, site=1)
+    assert L[0][0] == GLq2ExtP.gen("th", 1) and L[1][1] == GLq2ExtP.gen("b", 1)
+    with pytest.raises(ValueError, match="Aq has no generator 'th'"):
+        lmatrices.L_ext_plus(Aq)

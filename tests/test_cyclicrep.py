@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qbax.catalog import Aq, GLq2, GLq2Ext, Wq
+from qbax.coeff import Coefficient
 from qbax.cyclicrep import (
     glq2ext_rep,
     monodromy_num,
@@ -23,7 +24,7 @@ from qbax.cyclicrep import (
     transfer_num,
     weyl_rep,
 )
-from qbax.lmatrices import PAIRINGS, L_qdst, L_weyl, R_sym, transfer
+from qbax.lmatrices import PAIRINGS, L_qdst, L_weyl, R_hat, R_sym, transfer
 from qbax.ncpoly import random_poly
 from qbax.registry import _REP_FACTORIES
 
@@ -146,6 +147,58 @@ def test_rll_residual_small_at_spectral_points():
     for i in range(0, 4, 2):
         assert rll_residual_num(R_sym, L_weyl, Wq, rep, pts[i], pts[i + 1],
                                 q) < 1e-10
+
+
+def _rll_residual_by_blocks(R_builder, L_builder, alg, rep, x, y, q_val):
+    """Reference residual: the numeric 4x4 R(x/y) times the identity on the
+    quantum leg, and L(x), L(y) placed by hand on legs 1 and 2 of
+    C^2 x C^2 x C^N."""
+    N = next(iter(rep.values())).shape[0]
+
+    def vals(lam):
+        return {"q": q_val, "lam": lam, "mu": 1.0}
+
+    R = R_builder(alg)
+    zero = Coefficient.zero(alg.vars)
+    R4 = np.array([[complex(R[i][j].terms.get((), zero).evaluate(vals(x / y)))
+                    for j in range(4)] for i in range(4)])
+    Lx = numeric_opmatrix(L_builder(alg), rep, 1, vals(x))
+    Ly = numeric_opmatrix(L_builder(alg), rep, 1, vals(y))
+    L13 = np.zeros((2, 2, N, 2, 2, N), dtype=complex)
+    L23 = np.zeros((2, 2, N, 2, 2, N), dtype=complex)
+    for a in range(2):
+        for a2 in range(2):
+            for b in range(2):
+                L13[a, b, :, a2, b, :] = Lx[a, a2]
+                L23[b, a, :, b, a2, :] = Ly[a, a2]
+    L13 = L13.reshape(4 * N, 4 * N)
+    L23 = L23.reshape(4 * N, 4 * N)
+    R12 = np.kron(R4, np.eye(N, dtype=complex))
+    return float(np.linalg.norm(R12 @ L13 @ L23 - L23 @ L13 @ R12))
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_rll_residual_matches_the_block_assembly(N):
+    # Every pairing with its own kernel (residual ~1e-14) and with the other
+    # one (mostly O(1), so agreement is a real comparison).
+    q = root_of_unity(N)
+    pts = spectral_points(40 + N, 2 * len(PAIRINGS))
+    for k, (name, R, L, alg) in enumerate(PAIRINGS):
+        rep = _REP_FACTORIES[alg.name](N)
+        x, y = pts[2 * k], pts[2 * k + 1]
+        for kernel in (R_sym, R_hat):
+            want = _rll_residual_by_blocks(kernel, L, alg, rep, x, y, q)
+            got = rll_residual_num(kernel, L, alg, rep, x, y, q)
+            assert abs(got - want) <= 1e-12 * max(1.0, want), (name, kernel)
+        assert rll_residual_num(R, L, alg, rep, x, y, q) < 1e-10, name
+
+
+def test_rll_residual_of_a_mismatched_pairing_is_large():
+    # negative control: L_weyl closes with R_sym, not with R_hat
+    N = 5
+    q = root_of_unity(N)
+    x, y = spectral_points(11, 2)
+    assert rll_residual_num(R_hat, L_weyl, Wq, weyl_rep(N), x, y, q) > 1.0
 
 
 def test_transfer_matches_symbolic_at_three_sites():
