@@ -9,6 +9,7 @@ charges Q and Q H.  Dimensions grow as N^sites, so keep sites small.
 import argparse
 
 from qbax.catalog import Aq
+from qbax.cli import _comma_list, _int_at_least
 from qbax.cyclicrep import (
     qdst_charge_fit,
     qosc_rep,
@@ -18,16 +19,34 @@ from qbax.cyclicrep import (
 )
 from qbax.lmatrices import L_qdst
 
+# the transfer matrices are dense N^sites x N^sites complex arrays
+MAX_DIM = 1000
+
+
+def _clock_size(text: str) -> int:
+    """An argparse type: an odd integer >= 3 (root_of_unity needs one)."""
+    N = _int_at_least(3)(text)
+    if N % 2 == 0:
+        raise argparse.ArgumentTypeError(f"must be odd: {text}")
+    return N
+
 
 def main() -> None:
+    # bad input is a usage error (exit status 2), not a traceback
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--clock-sizes", default="3,5,7,9")
-    ap.add_argument("--sites", default="2,3")
+    ap.add_argument("--clock-sizes", type=_comma_list(_clock_size),
+                    default="3,5,7,9",
+                    help="comma-separated odd clock sizes N >= 3")
+    ap.add_argument("--sites", type=_comma_list(_int_at_least(2)),
+                    default="2,3",
+                    help="comma-separated chain lengths >= 2; the dimension "
+                         f"N**sites must stay at most {MAX_DIM}")
     ap.add_argument("--seed", type=int, default=17)
     args = ap.parse_args()
 
-    Ns = [int(t) for t in args.clock_sizes.split(",") if t]
-    site_list = [int(t) for t in args.sites.split(",") if t]
+    Ns, site_list = args.clock_sizes, args.sites
+    if max(Ns) ** max(site_list) > MAX_DIM:
+        ap.error(f"N**sites = {max(Ns)}**{max(site_list)} exceeds {MAX_DIM}")
     x, y = spectral_points(args.seed, 2)
 
     header = (f"{'N':>3} {'sites':>5} {'dim':>6}  {'[T(x),T(y)]':>12}  "

@@ -12,9 +12,12 @@ import argparse
 
 import numpy as np
 
+from qbax.cli import _comma_list, _int_at_least, _positive
 from qbax.qdilog import (
     FEQ_IDS,
+    DilogDomainError,
     DilogParams,
+    QuadratureError,
     check_feq,
     check_shift,
     check_ssw,
@@ -22,23 +25,23 @@ from qbax.qdilog import (
 )
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--omegas", default="0.3,0.5,0.7,0.9")
-    ap.add_argument("--x-decades", type=float, default=2.0,
-                    help="x ranges over 10^[-d, d] (default d=2)")
-    ap.add_argument("--x-count", type=int, default=9)
-    ap.add_argument("--panel-nodes", type=int, default=DilogParams.panel_nodes)
-    ap.add_argument("--arc-nodes", type=int, default=DilogParams.arc_nodes)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+def _omega(text: str) -> float:
+    """An argparse type: a float strictly inside (0, 1), as DilogParams needs."""
+    try:
+        omega = float(text)
+    except ValueError:
+        omega = None
+    if omega is None or not 0.0 < omega < 1.0:  # nan fails too
+        raise argparse.ArgumentTypeError(f"must be a float in (0, 1): {text}")
+    return omega
 
-    omegas = [float(t) for t in args.omegas.split(",") if t]
+
+def _grid(args: argparse.Namespace) -> None:
     xs = np.logspace(-args.x_decades, args.x_decades, args.x_count)
     rng = np.random.default_rng(args.seed)
 
     print(f"{'omega':>6}  {'shift':>10}  {'unitarity':>10}  {'power':>10}")
-    for omega in omegas:
+    for omega in args.omegas:
         p = DilogParams(omega, panel_nodes=args.panel_nodes,
                         arc_nodes=args.arc_nodes)
         shift = max(check_shift(omega, x, p) for x in xs)
@@ -50,7 +53,7 @@ def main() -> None:
     print("\nfunctional equations (worst over random lam, w draws):")
     for feq_id in FEQ_IDS:
         worst = 0.0
-        for omega in omegas:
+        for omega in args.omegas:
             p = DilogParams(omega, panel_nodes=args.panel_nodes,
                             arc_nodes=args.arc_nodes)
             for _ in range(10):
@@ -58,6 +61,29 @@ def main() -> None:
                 w = 10.0 ** rng.uniform(-1.0, 1.0)
                 worst = max(worst, check_feq(feq_id, omega, lam, w, p))
         print(f"  {feq_id:8s} {worst:.2e}")
+
+
+def main() -> None:
+    # bad input is a usage error (exit status 2), not a traceback
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--omegas", type=_comma_list(_omega),
+                    default="0.3,0.5,0.7,0.9",
+                    help="comma-separated omegas in (0, 1)")
+    ap.add_argument("--x-decades", type=_positive, default=2.0,
+                    help="x ranges over 10^[-d, d] (default d=2)")
+    ap.add_argument("--x-count", type=_int_at_least(1), default=9)
+    ap.add_argument("--panel-nodes", type=_int_at_least(1),
+                    default=DilogParams.panel_nodes)
+    ap.add_argument("--arc-nodes", type=_int_at_least(1),
+                    default=DilogParams.arc_nodes)
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+    try:
+        _grid(args)
+    except (DilogDomainError, QuadratureError) as exc:
+        # e.g. a large --x-decades or a starved rule: the certified
+        # evaluation refuses, and the message says where
+        ap.error(str(exc))
 
 
 if __name__ == "__main__":

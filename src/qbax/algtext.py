@@ -237,6 +237,8 @@ def load_algebras(text: str) -> dict[str, Presentation]:
     """Parse `algebra` blocks into Presentation objects; order is preserved."""
     out: dict[str, Presentation] = {}
     for _, name, body in _blocks(text, ("algebra",)):
+        if name in out:
+            raise AlgTextError(f"duplicate algebra {name}")
         vars_, gens, rule_lines, unit_lines = QLM, (), [], []
         for line in body:
             head, _, rest = line.partition(" ")
@@ -334,9 +336,14 @@ def _local_poly_text(alg: Presentation, terms: Mapping[LocalWord, Coefficient]) 
 
 
 def poly_text(p: NCPoly, legs: int = 1) -> str:
-    """Render an NCPoly; legs > 1 prints `(x)` between tensor legs."""
+    """Render an NCPoly; legs > 1 prints `(x)` between tensor legs.  A letter
+    on a site outside range(legs) has no leg to print on: AlgTextError."""
     if p.is_zero():
         return "0"
+    outside = sorted(p.sites() - set(range(legs)))
+    if outside:
+        raise AlgTextError(f"site {outside[0]} is outside the {legs} leg(s) "
+                           f"of {p}")
     gens = p.alg.gens
     parts = []
     for w in sorted(p.terms, key=lambda w: (len(w), w)):
@@ -358,6 +365,8 @@ def load_maps(text: str, algebras: Mapping[str, Presentation]) -> dict[str, GenM
     out: dict[str, GenMap] = {}
     for _, header, body in _blocks(text, ("map",)):
         name, _, sig = header.partition(" ")
+        if name in out:
+            raise AlgTextError(f"duplicate map {name}")
         src_name, arrow, tgt_spec = sig.partition("->")
         if not arrow:
             raise AlgTextError(f"bad map header: 'map {header}'")
@@ -411,6 +420,8 @@ def load_operators(
             if len(words) != 4 or body:
                 raise AlgTextError(f"pairing needs a name, R, L and an algebra: {rest!r}")
             name, r_name, l_name, alg_name = words
+            if any(name == p[0] for p in pairings):
+                raise AlgTextError(f"duplicate pairing {name}")
             for op_name in (r_name, l_name):
                 if op_name not in ops:
                     raise AlgTextError(f"pairing {name} names unknown operator {op_name}")

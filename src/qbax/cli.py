@@ -46,6 +46,17 @@ def _int_at_least(low: int):
     return parse
 
 
+def _comma_list(item):
+    """An argparse type: a non-empty comma-separated list, each entry parsed
+    by the argparse type `item`."""
+    def parse(text: str) -> list:
+        values = [item(t) for t in text.split(",") if t]
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+        return values
+    return parse
+
+
 def _run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed for all sampled checks (default 0)")

@@ -20,6 +20,7 @@ catalog's PAIRINGS lines record the pairings that hold.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Sequence
 
 from .catalog import GLq2Ext, OPERATORS, PAIRINGS
@@ -60,6 +61,7 @@ __all__ = [
     "QDET_CONVENTIONS",
     "monodromy",
     "transfer",
+    "transfer_mode_commutators",
     "transfer_commutation_defect",
     "qdst_charges",
     "subst_i_lam",
@@ -192,11 +194,31 @@ def transfer(L_builder, alg: Presentation, n_sites: int) -> NCPoly:
     return monodromy(L_builder, alg, n_sites).trace()
 
 
-def transfer_commutation_defect(L_builder, alg: Presentation, n_sites: int) -> NCPoly:
-    """[T(lam), T(mu)] with both transfer matrices on the same sites."""
+def transfer_mode_commutators(L_builder, alg: Presentation,
+                              n_sites: int) -> dict[tuple[int, int], NCPoly]:
+    """The nonzero [T_j, T_k], j < k, of the Laurent modes of the transfer
+    matrix T(lam) = sum_j lam^j T_j; each T_j has coefficients in q alone."""
     T = transfer(L_builder, alg, n_sites)
-    T_mu = T.spread_param("lam", ("mu",))
-    return T * T_mu - T_mu * T
+    modes = {j: T.coefficient_of("lam", j) for j in sorted(T.param_degrees("lam"))}
+    out = {}
+    for j, k in combinations(modes, 2):
+        c = modes[j].commutator(modes[k])
+        if not c.is_zero():
+            out[(j, k)] = c
+    return out
+
+
+def transfer_commutation_defect(L_builder, alg: Presentation, n_sites: int) -> NCPoly:
+    """[T(lam), T(mu)] with both transfer matrices on the same sites.
+
+    It is sum_{j,k} lam^j mu^k [T_j, T_k]; the diagonal vanishes and
+    [T_k, T_j] = -[T_j, T_k], so only the pairs j < k are computed.
+    """
+    out = alg.zero()
+    for (j, k), c in transfer_mode_commutators(L_builder, alg, n_sites).items():
+        out = out + c * (Coefficient.monomial(alg.vars, 1, lam=j, mu=k)
+                         - Coefficient.monomial(alg.vars, 1, lam=k, mu=j))
+    return out
 
 
 def qdst_charges(alg: Presentation, n_sites: int) -> tuple[NCPoly, NCPoly]:

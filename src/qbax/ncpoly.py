@@ -480,8 +480,11 @@ class Operator:
         if not self.rows or any(len(r) != len(self.rows) for r in self.rows):
             raise ValueError(f"rows of lengths {[len(r) for r in self.rows]} "
                              "are not square")
-        if any(len(w) > 1 for r in self.rows for p in r for w in p.terms):
+        words = [w for r in self.rows for p in r for w in p.terms]
+        if any(len(w) > 1 for w in words):
             raise ValueError("an entry is not linear in the generators")
+        if any(s for w in words for s, _ in w):
+            raise ValueError("an entry is not on site 0")
 
     def __call__(self, alg: Presentation | None = None, site: int = 0) -> OpMatrix:
         if alg is None:

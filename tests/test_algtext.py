@@ -27,7 +27,7 @@ from qbax.catalog import (
     GLq2ExtP,
     GLq2ExtPP,
 )
-from qbax.ncpoly import random_poly
+from qbax.ncpoly import Operator, random_poly
 
 
 def test_parse_simple_expressions():
@@ -103,6 +103,8 @@ def test_operator_round_trip():
     ("operator L_bad Aq\ne\npairing p R_sym L_bad Aq\n",
      "pairing p names unknown operator R_sym"),
     ("operator L_bad Nope\ne\n", "unknown algebra 'Nope'"),
+    ("operator L_bad Aq\ne\npairing p L_bad L_bad Aq\npairing p L_bad L_bad Aq\n",
+     "duplicate pairing p"),
     ("e, k\n", "comes before any operator/pairing line"),
 ])
 def test_malformed_operator_text_is_rejected(text, message):
@@ -138,3 +140,29 @@ def test_operator_rehoming_matches_generators_by_name():
     assert L[0][0] == GLq2ExtP.gen("th", 1) and L[1][1] == GLq2ExtP.gen("b", 1)
     with pytest.raises(ValueError, match="Aq has no generator 'th'"):
         lmatrices.L_ext_plus(Aq)
+
+
+def test_duplicate_algebra_is_rejected():
+    with pytest.raises(AlgTextError, match="duplicate algebra X"):
+        load_algebras("algebra X\ngens a b\nalgebra X\ngens c\n")
+
+
+def test_duplicate_map_is_rejected():
+    text = "map m Aq -> Aq\ne -> f\nmap m Aq -> Aq\ne -> k\n"
+    with pytest.raises(AlgTextError, match="duplicate map m"):
+        load_maps(text, ALGEBRAS)
+
+
+@pytest.mark.parametrize("legs, site", [(1, 1), (1, 2), (2, 2)])
+def test_poly_text_rejects_a_letter_outside_its_legs(legs, site):
+    p = Aq.gen("k") + Aq.gen("e", site)
+    with pytest.raises(AlgTextError, match=f"site {site} is outside"):
+        poly_text(p, legs=legs)
+    assert poly_text(p, legs=site + 1)  # enough legs: renders
+
+
+def test_operator_entries_must_be_on_site_zero():
+    with pytest.raises(ValueError, match="an entry is not on site 0"):
+        Operator("L_bad", Aq, [[Aq.gen("k", 1)]])
+    assert Operator("L_ok", Aq, [[Aq.gen("k", 0)]])(Aq, site=1)[0][0] \
+        == Aq.gen("k", 1)

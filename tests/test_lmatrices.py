@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from qbax.catalog import ALGEBRAS, GLq2, Aq, Wq, quantum_determinant
+from qbax.catalog import ALGEBRAS, GLq2, GLq2Ext, Aq, Wq, quantum_determinant
 from qbax.lmatrices import (
     PAIRINGS,
     QDET_CONVENTIONS,
+    L_ext_hat,
     L_osc_hat,
     L_qdst,
     L_quantum_matrix,
@@ -25,9 +26,12 @@ from qbax.lmatrices import (
     rll_defect,
     subst_i_lam,
     transfer,
+    transfer_commutation_defect,
+    transfer_mode_commutators,
     weight_twist,
     ybe_defect,
 )
+from qbax.ncpoly import Operator
 
 
 def test_pairings_table_is_well_formed():
@@ -135,3 +139,67 @@ def test_imaginary_spectral_substitution():
     # ... unless the caller supplies the compensating power
     shifted = subst_i_lam(Aq.param("lam") * Aq.gen("e"), extra_i_power=1)
     assert shifted == (Aq.param("lam") * Aq.gen("e")).scale(Fraction(-1))
+
+
+CHAINS = [(L_qdst, Aq), (L_ext_hat, GLq2Ext), (L_osc_hat, Aq)]
+CHAIN_IDS = ["qdst", "ext-hat", "osc-hat"]
+
+
+def _direct_commutator(L_builder, alg, n_sites):
+    """Reference [T(lam), T(mu)]: the full two-parameter product."""
+    T = transfer(L_builder, alg, n_sites)
+    T_mu = T.spread_param("lam", ("mu",))
+    return T * T_mu - T_mu * T
+
+
+def _perturbed(L):
+    """L with its upper-right entry times q: no longer a commuting chain."""
+    rows = [list(row) for row in L.rows]
+    rows[0][1] = rows[0][1] * L.alg.param("q")
+    return Operator(f"{L.__name__}_perturbed", L.alg, rows)
+
+
+@pytest.mark.parametrize("L_builder, alg", CHAINS, ids=CHAIN_IDS)
+def test_mode_wise_commutator_matches_the_direct_product(L_builder, alg):
+    defect = transfer_commutation_defect(L_builder, alg, 3)
+    assert defect == _direct_commutator(L_builder, alg, 3)
+    assert defect.is_zero()
+
+
+@pytest.mark.parametrize("L_builder, alg", CHAINS, ids=CHAIN_IDS)
+def test_perturbed_chain_matches_the_direct_product_term_for_term(L_builder,
+                                                                  alg):
+    L = _perturbed(L_builder)
+    defect = transfer_commutation_defect(L, alg, 3)
+    assert defect == _direct_commutator(L, alg, 3)
+    assert defect.n_terms() == 6
+
+
+def test_perturbed_qdst_matches_the_direct_product_at_four_sites():
+    L = _perturbed(L_qdst)
+    defect = transfer_commutation_defect(L, Aq, 4)
+    assert defect == _direct_commutator(L, Aq, 4)
+    assert defect.n_terms() == 80
+
+
+@pytest.mark.parametrize("L_builder, alg", CHAINS, ids=CHAIN_IDS)
+def test_transfer_matrices_commute_at_four_sites(L_builder, alg):
+    assert transfer_commutation_defect(L_builder, alg, 4).is_zero()
+
+
+def test_perturbed_modes_fail_to_commute():
+    # expected failure: the perturbed chain keeps a nonzero [T_j, T_k]
+    modes = transfer_mode_commutators(_perturbed(L_qdst), Aq, 3)
+    assert modes
+    assert all(j < k and not c.is_zero() for (j, k), c in modes.items())
+
+
+def test_lowest_and_highest_modes_enter_the_commutator():
+    # lam^2 e added to the upper-right entry spoils [T_j, T_k] for pairs
+    # that include both end modes, so no mode may be left out
+    rows = [list(row) for row in L_qdst.rows]
+    rows[0][1] = rows[0][1] + Aq.param("lam", 2) * Aq.gen("e")
+    L = Operator("L_qdst_lam2_e", Aq, rows)
+    modes = transfer_mode_commutators(L, Aq, 3)
+    assert {j for pair in modes for j in pair} == {-3, -1, 1, 3}
+    assert transfer_commutation_defect(L, Aq, 3) == _direct_commutator(L, Aq, 3)

@@ -46,3 +46,43 @@ def test_continuum_sweep_bad_input_is_a_usage_error(monkeypatch, capsys, args):
     assert _run(monkeypatch, "continuum_sweep.py", args) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, args", [
+    ("charge_tower.py", ["--sites", "1"]),
+    ("charge_tower.py", ["--sites", "0"]),
+    ("charge_tower.py", ["--sites", "-1"]),
+    ("charge_tower.py", ["--sites", ","]),
+    ("charge_tower.py", ["--clock-sizes", "4"]),
+    ("charge_tower.py", ["--clock-sizes", "1"]),
+    ("charge_tower.py", ["--clock-sizes", "x"]),
+    ("dilog_defect_grid.py", ["--omegas", "0"]),
+    ("dilog_defect_grid.py", ["--omegas", "1.5"]),
+    ("dilog_defect_grid.py", ["--omegas", "x"]),
+    ("dilog_defect_grid.py", ["--omegas", "nan"]),
+    ("dilog_defect_grid.py", ["--x-count", "0"]),
+    ("dilog_defect_grid.py", ["--x-decades", "nan"]),
+    # the certified evaluation refuses: x out of the rule's reach, or a
+    # starved rule
+    ("dilog_defect_grid.py", ["--omegas", "0.5", "--x-decades", "10"]),
+    ("dilog_defect_grid.py", ["--omegas", "0.5", "--panel-nodes", "1"]),
+])
+def test_bad_tower_or_grid_input_is_a_usage_error(monkeypatch, capsys, name, args):
+    assert _run(monkeypatch, name, args) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sites", ["4", "3,1000"])
+def test_charge_tower_bounds_the_dimension_before_building(monkeypatch,
+                                                           capsys, sites):
+    import qbax.cyclicrep
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a representation was built")
+
+    monkeypatch.setattr(qbax.cyclicrep, "qosc_rep", refuse)
+    args = ["--clock-sizes", "3,9", "--sites", sites]
+    assert _run(monkeypatch, "charge_tower.py", args) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "exceeds 1000" in err
