@@ -21,19 +21,20 @@ the collapse homomorphism onto the oscillator: a = e, b = c = k,
 th = k^-1, d = f.  Both eta invariants th.b and th.c then become the
 identity matrix.
 
-Everything else in this module is generic numeric evaluation: turning
-operator polynomials into matrices on (C^N)^(tensor n_sites), checking
-presentation relations as residual norms, evaluating the exact 4N x 4N
-exchange-relation residual R12 L13 L23 - L23 L13 R12, transfer-matrix
-commutators, and a discrete-Fourier fit of the self-trapping transfer
-matrix against its conserved charges.
+Everything else is generic numeric evaluation: exact polynomials are
+compiled once into representation-free index arrays and evaluated as a
+Khatri-Rao product times one GEMM (Van Loan, "The ubiquitous Kronecker
+product", J. Comput. Appl. Math. 123, 2000); on top of that, relation
+residuals, the exact 4N x 4N exchange residual R12 L13 L23 - L23 L13 R12,
+transfer commutators, and a Fourier fit against the conserved charges.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache, reduce
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,6 +131,107 @@ def glq2ext_rep(N: int, m: int = 1, c: complex = 2.0 + 0.5j) -> dict[str, np.nda
 # generic numeric evaluation
 # --------------------------------------------------------------------------
 
+class _Program(NamedTuple):
+    """Exact polynomials compiled to arrays that no representation enters."""
+    alg: Presentation
+    gens: tuple[str, ...]   # generators that occur, then the identity
+    local: np.ndarray       # (U, width) distinct one-site words, padded
+    sites: np.ndarray       # (W, n_sites) row of `local` per word and site
+    bounds: np.ndarray      # words of entry k are bounds[k]:bounds[k + 1]
+    term_word: np.ndarray   # (T,) word of each coefficient term
+    term_val: np.ndarray    # (T,) its rational value
+    powers: tuple           # (variable, exponents, index per term)
+
+
+def _compile(alg: Presentation, polys: list[NCPoly], n_sites: int) -> _Program:
+    slots: dict[int, int] = {}
+    local: dict[tuple[int, ...], int] = {(): 0}
+    sites, bounds, term_word, term_val, expos = [], [0], [], [], []
+    for p in polys:
+        for word, coeff in p.terms.items():
+            per_site: list[list[int]] = [[] for _ in range(n_sites)]
+            for site, gi in word:
+                if not 0 <= site < n_sites:
+                    raise ValueError(
+                        f"site {site} is outside range({n_sites})")
+                per_site[site].append(slots.setdefault(gi, len(slots)))
+            sites.append([local.setdefault(tuple(w), len(local))
+                          for w in per_site])
+            term_word += [len(sites) - 1] * len(coeff.terms)
+            term_val += map(complex, coeff.terms.values())
+            expos += coeff.terms
+        bounds.append(len(sites))
+    width = max(map(len, local))
+    pad = [w + (len(slots),) * (width - len(w)) for w in local]
+    expo = np.array(expos, dtype=int).reshape(len(expos), len(alg.vars))
+    return _Program(
+        alg, tuple(alg.gens[gi] for gi in slots),
+        np.array(pad, dtype=np.intp).reshape(len(pad), width),
+        np.array(sites, dtype=np.intp).reshape(-1, n_sites), np.array(bounds),
+        np.array(term_word, dtype=np.intp), np.array(term_val, dtype=complex),
+        tuple((v, *np.unique(expo[:, j], return_inverse=True))
+              for j, v in enumerate(alg.vars) if expo[:, j].any()))
+
+
+def _contract(prog: _Program, rep: dict[str, np.ndarray],
+              values: dict[str, complex]) -> np.ndarray:
+    """The compiled entries on (C^N)^(tensor n_sites), shape (K, D, D).
+
+    A weighted sum of Kronecker products is the Khatri-Rao product over
+    head sites 0..a-1, a = ceil(n/2), transposed, times the coefficient-
+    weighted one over the tail sites, realigned into Kronecker order.
+    Words go in chunks of N^(2(n - a)), so a head chunk is at most D x D.
+    """
+    shapes = sorted({np.shape(m) for m in rep.values()})
+    if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
+        raise ValueError("rep matrices must all be square and of one size, "
+                         f"got shapes {shapes}")
+    missing = [g for g in prog.gens if g not in rep]
+    if missing:
+        raise KeyError(f"rep has no matrix for generator {missing[0]!r} "
+                       f"of {prog.alg.name}")
+    missing = [v for v, _, _ in prog.powers if v not in values]
+    if missing:
+        raise KeyError(f"no numeric value for {missing}")
+    term = prog.term_val.copy()
+    for v, expo, index in prog.powers:
+        term *= np.array([values[v] ** int(e) for e in expo])[index]
+    (N, _), (W, n), K = shapes[0], prog.sites.shape, len(prog.bounds) - 1
+    coeff = (np.bincount(prog.term_word, term.real, W)
+             + 1j * np.bincount(prog.term_word, term.imag, W))
+    mats = np.stack([rep[g] for g in prog.gens] + [np.eye(N)]).astype(complex)
+    P = np.broadcast_to(np.eye(N, dtype=complex), (len(prog.local), N, N))
+    for col in prog.local.T:   # every distinct one-site product, once
+        P = P @ mats[col]
+    if n == 1:   # the weighted sum is a (K, W) coefficient matrix product
+        select = np.zeros((K, W), dtype=complex)
+        entry = np.repeat(np.arange(K), np.diff(prog.bounds))
+        select[entry, np.arange(W)] = coeff
+        return (select @ P[prog.sites[:, 0]].reshape(W, N * N)
+                ).reshape(K, N, N)
+    a = n - n // 2
+    M1, M2, out = N**a, N ** (n - a), None
+    for k in range(K):
+        acc = np.zeros((M1 * M1, M2 * M2), dtype=complex)
+        for lo in range(prog.bounds[k], prog.bounds[k + 1], M2 * M2):
+            w = slice(lo, min(lo + M2 * M2, prog.bounds[k + 1]))
+            tail = _khatri_rao(P[prog.sites[w, a:]]) * coeff[w, None]
+            acc += _khatri_rao(P[prog.sites[w, :a]]).T @ tail
+        if out is None:   # allocated late: one D x D fewer at the peak
+            out = np.empty((K, M1, M2, M1, M2), dtype=complex)
+        out[k] = acc.reshape(M1, M1, M2, M2).transpose(0, 2, 1, 3)
+    return out.reshape(K, N**n, N**n)
+
+
+def _khatri_rao(f: np.ndarray) -> np.ndarray:
+    """Per word, the flat Kronecker product of its factors, site 0 leftmost."""
+    out = f[:, 0]
+    for s in range(1, f.shape[1]):
+        out = (out[:, :, None, :, None] * f[:, s, None, :, None, :]
+               ).reshape(len(f), out.shape[1] * f.shape[2], -1)
+    return out.reshape(len(f), -1)
+
+
 def numeric_poly(p: NCPoly, rep: dict[str, np.ndarray], n_sites: int,
                  values: dict[str, complex]) -> np.ndarray:
     """Evaluate an operator polynomial on (C^N)^(tensor n_sites).
@@ -140,24 +242,15 @@ def numeric_poly(p: NCPoly, rep: dict[str, np.ndarray], n_sites: int,
     the Kronecker product (site 0 leftmost) of its per-site products, with the
     identity on untouched sites.  A site outside range(n_sites) is an error.
     """
-    N = next(iter(rep.values())).shape[0]
-    eye = np.eye(N, dtype=complex)
-    out = np.zeros((N**n_sites, N**n_sites), dtype=complex)
-    for word, coeff in p.terms.items():
-        factors = [eye] * n_sites
-        for site, gi in word:
-            if not 0 <= site < n_sites:
-                raise ValueError(f"site {site} is outside range({n_sites})")
-            factors[site] = factors[site] @ rep[p.alg.gens[gi]]
-        out += complex(coeff.evaluate(values)) * reduce(np.kron, factors)
-    return out
+    return _contract(_compile(p.alg, [p], n_sites), rep, values)[0]
 
 
 def numeric_opmatrix(M: OpMatrix, rep: dict[str, np.ndarray], n_sites: int,
                      values: dict[str, complex]) -> np.ndarray:
-    """Blockwise numeric form, shape (M.n, M.n, D, D)."""
-    return np.array([[numeric_poly(p, rep, n_sites, values) for p in row]
-                     for row in M.rows])
+    """Blockwise numeric form, shape (M.n, M.n, D, D), in one contraction."""
+    out = _contract(_compile(M.alg, [p for row in M.rows for p in row],
+                             n_sites), rep, values)
+    return out.reshape(M.n, M.n, *out.shape[1:])
 
 
 def rep_residuals(alg: Presentation, rep: dict[str, np.ndarray],
@@ -197,8 +290,9 @@ def _values(q_val: complex, lam: complex) -> dict[str, complex]:
 
 
 @lru_cache(maxsize=32)
-def _free_rll_defect(R_builder, L_builder, alg: Presentation) -> OpMatrix:
-    return rll_defect(R_builder, L_builder, alg.free_copy())
+def _rll_program(R_builder, L_builder, alg: Presentation) -> _Program:
+    return _compile(alg, [p for row in rll_defect(
+        R_builder, L_builder, alg.free_copy()).rows for p in row], 1)
 
 
 def rll_residual_num(R_builder, L_builder, alg: Presentation,
@@ -207,20 +301,26 @@ def rll_residual_num(R_builder, L_builder, alg: Presentation,
     """Frobenius norm of R12(x/y) L13(x) L23(y) - L23(y) L13(x) R12(x/y).
 
     Evaluates the exact exchange residual `rll_defect` over alg.free_copy()
-    (built once per (R, L, alg)) at lam = x/y, mu = y: a 4N x 4N problem of
-    two auxiliary legs and one quantum leg.
+    (built and compiled once per (R, L, alg)) at lam = x/y, mu = y: a
+    4N x 4N problem of two auxiliary legs and one quantum leg.
     """
-    res = _free_rll_defect(R_builder, L_builder, alg)
     values = {"q": q_val, "lam": x / y, "mu": y}
-    return float(np.linalg.norm(numeric_opmatrix(res, rep, 1, values)))
+    return float(np.linalg.norm(
+        _contract(_rll_program(R_builder, L_builder, alg), rep, values)))
+
+
+@lru_cache(maxsize=32)
+def _transfer_program(L_builder, alg: Presentation, n_sites: int) -> _Program:
+    return _compile(alg, [transfer(L_builder, alg.free_copy(), n_sites)],
+                    n_sites)
 
 
 def _transfers(L_builder, alg: Presentation, rep: dict[str, np.ndarray],
                n_sites: int, q_val: complex, lams) -> list[np.ndarray]:
     """T(lam) at each of lams, from one exact transfer built over
     alg.free_copy(), so the numbers never depend on the rewrite rules."""
-    T = transfer(L_builder, alg.free_copy(), n_sites)
-    return [numeric_poly(T, rep, n_sites, _values(q_val, lam)) for lam in lams]
+    prog = _transfer_program(L_builder, alg, n_sites)
+    return [_contract(prog, rep, _values(q_val, lam))[0] for lam in lams]
 
 
 def monodromy_num(L_builder, alg: Presentation, rep: dict[str, np.ndarray],

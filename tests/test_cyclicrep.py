@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -24,9 +25,10 @@ from qbax.cyclicrep import (
     transfer_num,
     weyl_rep,
 )
-from qbax.lmatrices import PAIRINGS, L_qdst, L_weyl, R_hat, R_sym, transfer
-from qbax.ncpoly import random_poly
-from qbax.registry import _REP_FACTORIES
+from qbax.lmatrices import (PAIRINGS, L_ext_hat, L_qdst, L_weyl, R_hat, R_sym,
+                            monodromy, rll_defect, transfer)
+from qbax.ncpoly import OpMatrix, random_poly
+from qbax.registry import _REP_FACTORIES, run_suite
 
 
 def test_root_of_unity_validation():
@@ -86,12 +88,179 @@ def test_numeric_poly_against_explicit_kron():
     assert np.max(np.abs(got - want)) < 1e-13
 
 
+def _numeric_poly_by_terms(p, rep, n_sites, values):
+    """Reference evaluator: one Kronecker product of per-site factors per
+    term, each weighted by its evaluated coefficient.  Also returns the sum
+    of the terms' max-norms, the scale of any summation order's rounding."""
+    N = next(iter(rep.values())).shape[0]
+    eye = np.eye(N, dtype=complex)
+    out = np.zeros((N**n_sites, N**n_sites), dtype=complex)
+    scale = 0.0
+    for word, coeff in p.terms.items():
+        factors = [eye] * n_sites
+        for site, gi in word:
+            factors[site] = factors[site] @ rep[p.alg.gens[gi]]
+        term = complex(coeff.evaluate(values)) * reduce(np.kron, factors)
+        out += term
+        scale += np.max(np.abs(term))
+    return out, scale
+
+
+def _oracle_defect(got, p, rep, n_sites, values):
+    """max |got - oracle| relative to the oracle's term scale."""
+    want, scale = _numeric_poly_by_terms(p, rep, n_sites, values)
+    assert scale > 0
+    return np.max(np.abs(got - want)) / scale
+
+
+def _oracle_vals(N, lam=0.7 - 0.2j, mu=0.4 + 0.9j):
+    return {"q": root_of_unity(N), "lam": lam, "mu": mu}
+
+
+@pytest.mark.parametrize("N", [3, 5])
+@pytest.mark.parametrize("n_sites", [1, 2, 3])
+@pytest.mark.parametrize("alg", [Wq, Aq, GLq2Ext, GLq2], ids=lambda a: a.name)
+def test_contraction_matches_the_per_term_oracle_on_random_input(alg, n_sites,
+                                                                 N):
+    rep = _REP_FACTORIES[alg.name](N)
+    vals = _oracle_vals(N)
+    rng = random.Random(f"contract-{alg.name}-{n_sites}-{N}")
+    polys = [random_poly(alg, rng, n_terms=12, max_len=4, n_sites=n_sites)
+             for _ in range(4)]
+    if N == 3 and n_sites > 1:   # more words than one chunk of N^2
+        assert max(len(p.terms) for p in polys) > N * N
+    for p in polys:
+        got = numeric_poly(p, rep, n_sites, vals)
+        assert _oracle_defect(got, p, rep, n_sites, vals) <= 1e-12
+    M = OpMatrix(alg, [polys[:2], polys[2:]])
+    got = numeric_opmatrix(M, rep, n_sites, vals)
+    for i in range(2):
+        for j in range(2):
+            assert _oracle_defect(got[i, j], M[i][j], rep, n_sites,
+                                  vals) <= 1e-12, (i, j)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_contraction_matches_the_oracle_on_the_free_rll_residuals(N):
+    # each pairing's own residual (cancels to rounding) and the one with
+    # the other kernel (mostly O(1)), all 16 entries in one contraction
+    vals = _oracle_vals(N)
+    for name, R, L, alg in PAIRINGS:
+        rep = _REP_FACTORIES[alg.name](N)
+        for kernel in dict.fromkeys((R, R_sym, R_hat)):
+            res = rll_defect(kernel, L, alg.free_copy())
+            got = numeric_opmatrix(res, rep, 1, vals)
+            assert got.shape == (4, 4, N, N)
+            for i, j, p in res.nonzero_entries():
+                assert _oracle_defect(got[i, j], p, rep, 1,
+                                      vals) <= 1e-12, (name, i, j)
+            for i in range(4):
+                for j in range(4):
+                    assert res[i][j].terms or not got[i, j].any()
+
+
+@pytest.mark.parametrize("name", ["ext-hat", "osc-hat", "qdst"])
+def test_contraction_matches_the_oracle_on_three_site_transfers(name):
+    N, n = 3, 3
+    _, _, L, alg = next(p for p in PAIRINGS if p[0] == name)
+    rep = _REP_FACTORIES[alg.name](N)
+    vals = _oracle_vals(N)
+    T = transfer(L, alg.free_copy(), n)
+    got = numeric_poly(T, rep, n, vals)
+    assert _oracle_defect(got, T, rep, n, vals) <= 1e-12
+    # all four monodromy entries in one contraction (K > 1 at 3 sites)
+    M = monodromy(L, alg.free_copy(), n)
+    got = numeric_opmatrix(M, rep, n, vals)
+    for i, j, p in M.nonzero_entries():
+        assert _oracle_defect(got[i, j], p, rep, n, vals) <= 1e-12, (i, j)
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3])
+def test_contraction_of_zero_and_constant(n_sites):
+    N = 3
+    rep = weyl_rep(N)
+    vals = _oracle_vals(N)
+    zero = numeric_poly(Wq.zero(), rep, n_sites, vals)
+    assert zero.shape == (N**n_sites, N**n_sites) and not zero.any()
+    const = Wq.param("lam", 2, scale=3)
+    got = numeric_poly(const, rep, n_sites, vals)
+    assert _oracle_defect(got, const, rep, n_sites, vals) <= 1e-12
+    assert np.allclose(got, 3 * vals["lam"] ** 2 * np.eye(N**n_sites))
+    M = numeric_opmatrix(OpMatrix.identity(Wq, 2), rep, n_sites, vals)
+    assert np.array_equal(M[0, 0], np.eye(N**n_sites)) and not M[0, 1].any()
+
+
 def test_numeric_poly_rejects_sites_outside_the_chain():
     rep = weyl_rep(3)
     vals = {"q": root_of_unity(3), "lam": 1.0, "mu": 1.0}
     for site in (2, -1):
         with pytest.raises(ValueError, match="outside range"):
             numeric_poly(Wq.gen("u", 0) * Wq.gen("v", site), rep, 2, vals)
+        # raised while compiling, before the representation is looked at
+        with pytest.raises(ValueError, match=r"site .* is outside range\(2\)"):
+            numeric_poly(Wq.gen("v", site), {}, 2, vals)
+
+
+def test_missing_generator_names_the_generator_and_the_algebra():
+    rep = {k: v for k, v in weyl_rep(3).items() if k != "v"}
+    vals = {"q": root_of_unity(3), "lam": 1.0, "mu": 1.0}
+    with pytest.raises(KeyError, match="'v' of Wq"):
+        numeric_poly(Wq.gen("u", 0) * Wq.gen("v", 1), rep, 2, vals)
+    # a generator the polynomial does not use may be absent
+    assert numeric_poly(Wq.gen("u", 0), rep, 1, vals).shape == (3, 3)
+
+
+@pytest.mark.parametrize("bad", [np.eye(5), np.ones((3, 4)), np.ones(3),
+                                 np.ones((3, 3, 3))],
+                         ids=["other-size", "non-square", "vector", "3d"])
+def test_rep_matrices_must_be_square_and_of_one_size(bad):
+    rep = dict(weyl_rep(3), ut=bad)
+    # the value set lacks lam: the shape check comes before any arithmetic
+    p = Wq.gen("u", 0) * Wq.param("lam")
+    with pytest.raises(ValueError, match="square and of one size"):
+        numeric_poly(p, rep, 1, {"q": root_of_unity(3)})
+    with pytest.raises(ValueError, match="square and of one size"):
+        numeric_poly(p, {}, 1, {"q": root_of_unity(3)})
+
+
+def test_missing_coefficient_value_is_named():
+    rep = weyl_rep(3)
+    p = Wq.gen("u", 0) * Wq.param("lam", -1)
+    with pytest.raises(KeyError, match=r"no numeric value for \['lam'\]"):
+        numeric_poly(p, rep, 1, {"q": root_of_unity(3)})
+    # a variable that does not occur needs no value
+    numeric_poly(Wq.gen("u", 0), rep, 1, {})
+
+
+@pytest.mark.parametrize("L, alg, factory, N, n", [
+    (L_qdst, Aq, qosc_rep, 3, 5),
+    (L_ext_hat, GLq2Ext, glq2ext_rep, 7, 3),
+], ids=["qdst-N3-5sites", "ext-hat-N7-3sites"])
+def test_transfer_commutator_memory_stays_near_four_dense_matrices(
+        L, alg, factory, N, n):
+    # two transfers, their two products and the head chunk: chunking keeps
+    # the Khatri-Rao head at one D x D array however many words there are
+    rep, q = factory(N), root_of_unity(N)
+    x, y = spectral_points(9, 2)
+    dense = 16 * (N**n) ** 2
+    tracemalloc.start()
+    try:
+        res = transfer_commutator_num(L, alg, rep, n, x, y, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res < 1e-12
+    assert peak <= 5.5 * dense, peak / dense
+
+
+def test_parallel_rep_run_is_byte_identical():
+    # the compiled-program caches are per process: a pool must not change
+    # one byte of the report
+    seq = run_suite(pattern="rep-*", seed=0, jobs=1)
+    par = run_suite(pattern="rep-*", seed=0, jobs=2)
+    assert seq.counts["pass"] == len(seq.results) == 4
+    assert seq.to_json() == par.to_json()
+    assert seq.to_text(timing=False) == par.to_text(timing=False)
 
 
 def _kron_transfer(L_builder, alg, rep, n_sites, vals):
