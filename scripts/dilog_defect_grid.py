@@ -3,9 +3,9 @@
 
 For each omega the script reports the worst shift-equation, unitarity and
 power-identity defects over a geometric x grid, then the worst functional
-equation defect per kernel identity.  Useful when changing contour
-parameters: rerun with --panel-nodes / --arc-nodes and compare columns;
-their defaults are DilogParams's, so a bare run maps the shipped rule.
+equation defect per kernel identity.  Useful when changing the quadrature:
+rerun with --steps and compare columns; its default is DilogParams's, so a
+bare run maps the shipped rule.
 """
 
 import argparse
@@ -42,8 +42,7 @@ def _grid(args: argparse.Namespace) -> None:
 
     print(f"{'omega':>6}  {'shift':>10}  {'unitarity':>10}  {'power':>10}")
     for omega in args.omegas:
-        p = DilogParams(omega, panel_nodes=args.panel_nodes,
-                        arc_nodes=args.arc_nodes)
+        p = DilogParams(omega, steps=args.steps)
         shift = max(check_shift(omega, x, p) for x in xs)
         unit = max(check_unitarity(omega, x, p) for x in xs)
         power = max(check_ssw(omega, w, t, p)
@@ -54,8 +53,7 @@ def _grid(args: argparse.Namespace) -> None:
     for feq_id in FEQ_IDS:
         worst = 0.0
         for omega in args.omegas:
-            p = DilogParams(omega, panel_nodes=args.panel_nodes,
-                            arc_nodes=args.arc_nodes)
+            p = DilogParams(omega, steps=args.steps)
             for _ in range(10):
                 lam = 10.0 ** rng.uniform(-0.6, 0.6)
                 w = 10.0 ** rng.uniform(-1.0, 1.0)
@@ -72,17 +70,16 @@ def main() -> None:
     ap.add_argument("--x-decades", type=_positive, default=2.0,
                     help="x ranges over 10^[-d, d] (default d=2)")
     ap.add_argument("--x-count", type=_int_at_least(1), default=9)
-    ap.add_argument("--panel-nodes", type=_int_at_least(1),
-                    default=DilogParams.panel_nodes)
-    ap.add_argument("--arc-nodes", type=_int_at_least(1),
-                    default=DilogParams.arc_nodes)
+    ap.add_argument("--steps", type=_positive, default=DilogParams.steps,
+                    help="the trapezoid step is 2 pi d / STEPS for a strip "
+                         f"of half-width d (default {DilogParams.steps})")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     try:
         _grid(args)
     except (DilogDomainError, QuadratureError) as exc:
-        # e.g. a large --x-decades or a starved rule: the certified
-        # evaluation refuses, and the message says where
+        # e.g. --steps below 4, or a rule too coarse for its certificate:
+        # the certified evaluation refuses, and the message says where
         ap.error(str(exc))
 
 

@@ -356,23 +356,23 @@ def qdst_charge_fit(alg: Presentation, rep: dict[str, np.ndarray],
     """
     n = n_sites
     M = 2 * n + 1
-    samples = _transfers(L_qdst, alg, rep, n, q_val,
-                         [cmath.exp(2j * math.pi * j / M) for j in range(M)])
-
-    def fourier(d: int) -> np.ndarray:
-        acc = np.zeros_like(samples[0])
-        for j, T in enumerate(samples):
-            acc += T * cmath.exp(-2j * math.pi * j * d / M)
-        return acc / M
-
+    sums = {-n: 0j, 2 - n: 0j}   # d -> M times the lam^d coefficient
+    for j in range(M):
+        T = transfer_num(L_qdst, alg, rep, n,
+                         cmath.exp(2j * math.pi * j / M), q_val)
+        for d in sums:
+            sums[d] += T * cmath.exp(-2j * math.pi * j * d / M)
+        del T   # one sample alive while the next one is built
     Q, H = qdst_charges(alg, n)
     vals = _values(q_val, 1.0)
-    Qn = numeric_poly(Q, rep, n, vals)
-    QHn = numeric_poly(Q * H, rep, n, vals)
-    return {
-        "lam^-n vs Q": float(np.linalg.norm(fourier(-n) - Qn)),
-        "lam^(2-n) vs QH": float(np.linalg.norm(fourier(2 - n) - QHn)),
-    }
+    fit = {}
+    for key, d, charge in (("lam^-n vs Q", -n, Q),
+                           ("lam^(2-n) vs QH", 2 - n, Q * H)):
+        coeff = sums.pop(d)
+        coeff /= M
+        fit[key] = float(np.linalg.norm(
+            coeff - numeric_poly(charge, rep, n, vals)))
+    return fit
 
 
 def spectral_points(seed: int, count: int) -> np.ndarray:

@@ -16,14 +16,20 @@ Everything downstream works with the (unwrapped) logarithm ell = log x
 rather than x itself: the integral representation is a function of ell,
 and the functional-equation checks shift arguments by q^{+-2} which can
 push the phase past the principal branch while staying inside the decay
-strip |Im ell| < pi (1 + w^2).  Numerically the contour is truncated at
-+-T, one T per call from the slowest decay rate among its arguments, and
-the pole is avoided by a semicircle of radius r in the upper half plane.
-A call evaluates all its arguments in one exp pass over a node vector
-that stacks a coarse Gauss-Legendre rule and the same panels at twice the
-density; a two-column weight matrix yields both integrals.  Every value
-is certified by its coarse and fine results agreeing within tol,
-otherwise QuadratureError names the worst argument and its movement.
+strip |Im ell| < pi (1 + w^2).
+
+Numerically O is the line Im t = c half way up the strip 0 < Im t < cap
+= pi min(Re w, Re 1/w) below the poles above 0 (lower, with a finer step,
+for large Re ell).  There the trapezoid rule with step h = pi cap / steps
+errs like exp(-pi cap / h) (Trefethen and Weideman, SIAM Review 56, 2014).
+The line is cut at +-L, one L per call from its slowest decay rate.  Every
+other node with doubled weights is the rule of step 2h, so each value is
+certified for free: the two sums must agree within tol relative to |S|,
+else QuadratureError names the worst argument.  The nodes are uniform, so
+on a J x M grid exp(u t) = exp(u a_j) exp(u b_m), row centre times offset,
+rows scaled by sigma = Re(w + 1/w) >= |Re u| to stay in range: a call
+costs J + M exp per argument and one GEMM against a cached M x 2J matrix
+of both rules' weights.
 
 The phrase "decay strip" above is the actual bound obtained from the
 integrand's asymptotics; it is *smaller* than the looser engineering
@@ -91,15 +97,14 @@ class QuadratureError(RuntimeError):
 class DilogParams:
     """Evaluation parameters: w and the quadrature knobs.
 
-    omega must lie strictly inside (0, 1).  truncation=None picks T from
-    the slowest decay rate among a call's arguments (then rounds up for
-    node caching); a fixed value is honoured as given.
+    omega must lie strictly inside (0, 1).  The trapezoid step is 2 pi d /
+    steps on a strip of half-width d.  truncation=None picks the line's
+    half-length L from the slowest decay rate among a call's arguments; a
+    fixed value is honoured as given.
     """
 
     omega: float
-    pole_radius: float = 0.1
-    panel_nodes: int = 12
-    arc_nodes: int = 64
+    steps: float = 80
     truncation: float | None = None
     tol: float = 1e-9
 
@@ -107,9 +112,12 @@ class DilogParams:
         if isinstance(self.omega, complex) or not (0.0 < self.omega < 1.0):
             raise DilogDomainError(
                 f"omega must be real in (0,1), got {self.omega!r}")
-        if not (0.0 < self.pole_radius < 0.5):
-            raise DilogDomainError("pole_radius must lie in (0, 0.5)")
-        if self.tol <= 0:
+        if not (math.isfinite(self.steps) and self.steps >= 4):
+            raise DilogDomainError(
+                f"steps must be a finite number >= 4, got {self.steps!r}")
+        if not (self.truncation is None or 0 < self.truncation < math.inf):
+            raise DilogDomainError("truncation must be positive and finite")
+        if not self.tol > 0:   # nan too
             raise DilogDomainError("tolerance must be positive")
 
     @property
@@ -152,78 +160,71 @@ def s_compact(x: complex, q: complex, tol: float = 1e-14,
 # --------------------------------------------------------------------------
 
 _TAIL_LOG = 32.0  # exp(-32) ~ 1.3e-14: target tail mass at truncation
+_MAX_K = 2**19    # a rule of 2^20 nodes takes about 100 MB to build
 
 
 def fold_decay_rate(omega: complex, ell):
-    """Decay rate of the folded integrand sinh(u t)/(2t sinh(wt) sinh(t/w)).
+    """Decay rate of the integrand exp(u t) / (4t sinh(wt) sinh(t/w)).
 
-    u = -i ell / (pi w); the denominator grows like exp(Re(w + 1/w) t) and
-    the numerator like exp(|Re u| t), so the rate is their difference.  A
-    nonpositive rate means ell is outside the decay strip.  An array of
-    ell gives an array of rates.
+    u = -i ell / (pi w); along a horizontal line the denominator grows like
+    exp(Re(w + 1/w) |t|) and the numerator like exp(|Re u| |t|), so the
+    rate is their difference, nonpositive outside the decay strip.  An
+    array of ell gives an array of rates.
     """
     u = -1j * ell / (math.pi * omega)
     return (omega + 1.0 / omega).real - abs(u.real)
 
 
-@lru_cache(maxsize=16)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)  # numpy imports it lazily
-
-
-def _paired(n: int, place) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rules with n and 2n nodes, mapped by place(x, w) and
-    stacked into one node vector with weight columns (coarse, fine)."""
-    (t1, w1), (t2, w2) = (place(*_leggauss(k)) for k in (n, 2 * n))
-    weights = np.zeros((t1.size + t2.size, 2))
-    weights[:t1.size, 0], weights[t1.size:, 1] = w1, w2
-    return np.concatenate([t1, t2]), weights
+def _log_sinh(z: np.ndarray) -> np.ndarray:
+    """A logarithm of sinh z that cannot overflow (any branch: only its
+    exp is used), from sinh z = +-exp(+-z) (1 - exp(-2|z|)) / 2."""
+    flip = z.real < 0
+    z = np.where(flip, -z, z)
+    return (z + np.log(-0.5 * np.expm1(-2.0 * z))
+            + np.where(flip, 1j * math.pi, 0.0))
 
 
 @lru_cache(maxsize=64)
-def _rule(omega: complex, r: float, T: float, n_panel: int, n_arc: int):
-    """Nodes and ell-independent factors of the contour, both densities.
+def _rule(omega: complex, height: float, steps: float, L: float, rise: int):
+    """The trapezoid rule on Im t = c, factored on a J x M grid (M even).
 
-    The axis [r, T] gets composite panels (geometric up to 1, then length
-    2); the arc is theta on [0, pi], run from pi to 0 on the contour, with
-    dt/t cancelling the 1/t of the measure.  Every factor that does not
-    depend on ell is folded into the two-column weights.
+    At rise = 0, c = height * cap and h = 2 pi d / steps; the coarse rule
+    errs like exp(-pi c / h) from the pole at 0 and exp(-pi (cap - c) / h)
+    from those at height cap.  If |exp(u t)| grows by exp(rise * cap) up
+    the strip, h and c shrink together to restore the second margin.
+    Returns row centres a (with the i c), offsets b, the M x 2J fine and
+    coarse weights, rows scaled by exp(sigma |Re a|), and sigma.
     """
-    edges = [r]
-    while edges[-1] < 1.0:
-        edges.append(min(2.0 * edges[-1], 1.0))
-    while edges[-1] < T:
-        edges.append(min(edges[-1] + 2.0, T))
-    lo, hi = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
-    t, w_axis = _paired(n_panel, lambda x, w: (
-        (0.5 * (hi - lo) * x + 0.5 * (hi + lo)).ravel(),
-        (0.5 * (hi - lo) * w).ravel()))
-    down = -(omega + 1.0 / omega) * t
-    # the folded integrand is (A - B) / (t (1 - e^-2wt)(1 - e^-2t/w))
-    w_axis = w_axis / (t * np.expm1(-2 * omega * t)
-                       * np.expm1(-2 * t / omega))[:, None]
-    theta, w_arc = _paired(n_arc, lambda x, w: (0.5 * math.pi * (x + 1.0),
-                                                 0.5 * math.pi * w))
-    tc = r * np.exp(1j * theta)
-    w_arc = -1j * w_arc / (4.0 * np.sinh(omega * tc)
-                           * np.sinh(tc / omega))[:, None]
-    return t, down, np.exp(2.0 * down), w_axis, tc, w_arc
+    cap = math.pi * min(omega.real, (1.0 / omega).real)
+    c = height * cap
+    h = 2.0 * math.pi * min(c, cap - c) / steps
+    shrink = 1.0 / (1.0 + rise * h / math.pi)
+    h, c = shrink * h, shrink * c
+    K = 2 * math.ceil(L / (2.0 * h))
+    if K > _MAX_K:
+        raise DilogDomainError(f"the rule would need {2 * K + 1} nodes: "
+                               "Re log x, steps or truncation is too large")
+    M = 2 * max(1, round(math.sqrt(2 * K + 1) / 2))
+    J = -(-(2 * K + 1) // M)
+    t = (np.arange(J * M) - K) * h + 1j * c
+    log_w = (math.log(h) - np.log(4.0 * t) - _log_sinh(omega * t)
+             - _log_sinh(t / omega))
+    log_w[2 * K + 1:] = -np.inf  # padding of the last row
+    b = (np.arange(M) - 0.5 * (M - 1)) * h
+    a = t[::M] - b[0]
+    sigma = (omega + 1.0 / omega).real
+    fine = np.exp(log_w.reshape(J, M) + sigma * np.abs(a.real)[:, None]).T
+    coarse = fine * np.resize([2.0, 0.0], M)[:, None]  # k - m is even
+    return a, b, np.hstack([fine, coarse]), sigma
 
 
-def _eval_log(ell, omega: complex, r: float, n_panel: int, n_arc: int,
-              tol: float, truncation: float | None = None):
+def _eval_log(ell, omega: complex, steps: float, tol: float,
+              truncation: float | None = None, height: float = 0.5):
     """S at each ell: a complex for a scalar, else an array of its shape.
 
-    The call shares one truncation T, the largest any member needs
-    (rounded up so node caches are reused) unless `truncation` fixes it,
-    and one exp pass over the stacked coarse and fine nodes gives both
-    integrals; each value is certified on its own.  On the axis the t < 0
-    half is folded into sinh(u t) / (2 t sinh(w t) sinh(t / w)); as sinh
-    is odd, u is flipped to Re u >= 0, so A = exp(u t + down) cannot
-    overflow and the second exponential is exp(2 down) / A.  Where
-    exp(2 down) underflows that term is below exp(down) < 1e-161 and is
-    taken as zero (A may be subnormal there, and complex division by a
-    subnormal overflows).
+    The call shares one rule: the L its slowest-decaying member needs
+    (rounded up a quarter octave so rules are reused) unless `truncation`
+    fixes it, and the rise its largest -Im u needs.
     """
     shape = np.shape(ell)
     ells = np.asarray(ell, dtype=complex).ravel()
@@ -236,22 +237,22 @@ def _eval_log(ell, omega: complex, r: float, n_panel: int, n_arc: int,
             f"Im(log x) = {ells[i].imag:.4f} is outside the decay strip "
             f"|Im log x| < pi (1 + omega^2) = {math.pi * (1 + omega**2):.4f} "
             "(or too close to its edge)")
-    T = (4.0 * math.ceil(max(24.0, _TAIL_LOG / rate[i]) / 4.0)
+    L = (2.0 ** (math.ceil(4.0 * math.log2(_TAIL_LOG / rate[i])) / 4.0)
          if truncation is None else float(truncation))
-    t, down, e2, w_axis, tc, w_arc = _rule(omega, r, T, n_panel, n_arc)
-    u = -1j * ells / (math.pi * omega)
-    sign = np.where(u.real < 0, -1.0, 1.0)
-    A = np.exp((sign * u)[:, None] * t + down)
-    B = np.divide(e2, A, out=np.zeros_like(A), where=e2 != 0)
-    s = np.exp(sign[:, None] * ((A - B) @ w_axis)
-               + np.exp(u[:, None] * tc) @ w_arc)
-    move = np.abs(s[:, 1] - s[:, 0])
+    u = -1j * ells[:, None] / (math.pi * omega)
+    rise = max(0, math.ceil(-u.imag.min()))
+    a, b, W, sigma = _rule(omega, height, steps, L, rise)
+    rows = (np.exp(u * b) @ W).reshape(-1, 2, a.size)
+    log_s = np.einsum("nkj,nj->nk", rows,
+                      np.exp(u * a - sigma * np.abs(a.real)))
+    move = np.abs(np.expm1(log_s[:, 1] - log_s[:, 0]))
     i = int(np.argmax(move))
     if not move[i] <= tol:
         raise QuadratureError(
-            f"node doubling moved S by {move[i]:.3e} (> {tol:.1e}) "
+            f"node doubling moved S by {move[i]:.3e} relative (> {tol:.1e}) "
             f"at ell={ells[i]:.6g}, omega={omega:.6g}")
-    return s[:, 1].reshape(shape) if shape else complex(s[0, 1])
+    s = np.exp(log_s[:, 0])
+    return s.reshape(shape) if shape else complex(s[0])
 
 
 def s_omega_log(ell, p: DilogParams) -> complex | np.ndarray:
@@ -260,8 +261,7 @@ def s_omega_log(ell, p: DilogParams) -> complex | np.ndarray:
     A scalar ell gives a complex; a sequence gives an array of its shape,
     evaluated in one pass with one truncation and certified per value.
     """
-    return _eval_log(ell, p.omega, p.pole_radius, p.panel_nodes, p.arc_nodes,
-                     p.tol, p.truncation)
+    return _eval_log(ell, p.omega, p.steps, p.tol, p.truncation)
 
 
 def s_omega(x: complex, p: DilogParams) -> complex:
@@ -306,20 +306,19 @@ def check_self_dual(omega: float, s: float, p: DilogParams | None = None) -> flo
     """Self-duality S_w(x^w) == S_{1/w}(x^{1/w}) at x = exp(2 pi s).
 
     Both sides reduce to the same integrand, so to make this a real test of
-    the contour handling the two sides are evaluated with different pole
-    radii and node counts.
+    the contour handling the two sides are evaluated on different lines
+    with different steps.
     """
     p = p or DilogParams(omega)
     left = s_omega_log(2.0 * math.pi * omega * s, p)
-    # 1/omega > 1 falls outside DilogParams validation; call the core with
-    # independently chosen quadrature knobs.
-    right = _eval_log(2.0 * math.pi * s / omega, 1.0 / omega, 0.17, 20, 48,
-                      p.tol)
+    # 1/omega > 1 is outside DilogParams: call the core on another line
+    right = _eval_log(2.0 * math.pi * s / omega, 1.0 / omega, 72, p.tol,
+                      height=0.4)
     return _rel(left, right)
 
 
 def check_product_consistency(omega: complex, x: float,
-                              tol: float = 1e-12) -> float:
+                              tol: float = 1e-15) -> float:
     """Integral versus double-product form, at complex omega.
 
     For omega with a small positive imaginary part both |q| and |q_hat| drop
@@ -332,7 +331,7 @@ def check_product_consistency(omega: complex, x: float,
     if om.imag <= 0:
         raise DilogDomainError("needs Im(omega) > 0 so both products converge")
     ell = math.log(x)
-    integral = _eval_log(ell, om, 0.1, 24, 64, 1e-8)
+    integral = _eval_log(ell, om, DilogParams.steps, 1e-8)
     q = cmath.exp(1j * cmath.pi * om * om)
     q_hat = cmath.exp(-1j * cmath.pi / (om * om))
     num = s_compact(x, q, tol)

@@ -317,14 +317,14 @@ def _qdilog_checks(seed: int, tol: float | None) -> list[Check]:
     @numeric(
         "qdilog-product-form",
         "the contour integral matches the ratio of two compact products at "
-        "complex omega where both converge", 1e-6)
+        "complex omega where both converge", 1e-13)
     def _():
         return [(check_product_consistency(om, x), f"omega={om:g}, x={x:g}")
                 for om in (0.6 + 0.15j, 0.45 + 0.2j) for x in (0.3, 1.7)]
 
     @numeric(
         "qdilog-fixed-point",
-        "S(1) = exp(i pi (omega^2 + omega^-2) / 24)", 1e-8)
+        "S(1) = exp(i pi (omega^2 + omega^-2) / 24)", 1e-13)
     def _():
         for om in OMEGAS:
             expected = cmath.exp(1j * math.pi * (om * om + om ** -2) / 24.0)

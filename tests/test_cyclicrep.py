@@ -402,6 +402,21 @@ def test_charge_fit():
     assert max(fits.values()) < 1e-12
 
 
+def test_charge_fit_memory_is_a_few_dense_matrices():
+    # the fit reads two Fourier coefficients, so it must not hold all 2n+1
+    # samples of T(lam) (17 dense D x D arrays at 6 sites)
+    N, n = 3, 6
+    dense = 16 * (N**n) ** 2
+    tracemalloc.start()
+    try:
+        fits = qdst_charge_fit(Aq, qosc_rep(N), n, root_of_unity(N))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(fits.values()) < 1e-10
+    assert peak <= 6 * dense, peak / dense
+
+
 def test_spectral_points_are_deterministic_and_unimodular():
     a = spectral_points(4, 6)
     b = spectral_points(4, 6)

@@ -28,12 +28,15 @@ def test_params_validation():
     for bad in (0.0, 1.0, 1.2, -0.3):
         with pytest.raises(ValueError):
             DilogParams(bad)
-    with pytest.raises(ValueError):
-        DilogParams(0.5, pole_radius=0.6)
-    with pytest.raises(ValueError):
-        DilogParams(0.5, pole_radius=0.0)
-    with pytest.raises(ValueError):
-        DilogParams(0.5, tol=0.0)
+    for bad in (float("nan"), float("inf"), 2, 0, -80):
+        with pytest.raises(DilogDomainError):
+            DilogParams(0.5, steps=bad)
+    for bad in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            DilogParams(0.5, tol=bad)
+    for bad in (0.0, -5.0, float("inf"), float("nan")):
+        with pytest.raises(DilogDomainError):
+            DilogParams(0.5, truncation=bad)
     p = DilogParams(0.5)
     assert abs(p.q - cmath.exp(1j * math.pi * 0.25)) < 1e-15
     assert abs(p.log_q - 1j * math.pi * 0.25) < 1e-15
@@ -103,8 +106,18 @@ def test_domain_rejections():
         s_omega_log([0.2, ell, -0.4], p)
 
 
+def test_rule_size_is_bounded():
+    # a large Re log x shortens the step; a huge one must be refused before
+    # the nodes are allocated
+    for ell, p in ((1e7, DilogParams(0.5)),
+                   (0.3, DilogParams(0.5, truncation=1e9)),
+                   (0.3, DilogParams(0.5, steps=1e9))):
+        with pytest.raises(DilogDomainError, match="nodes"):
+            s_omega_log(ell, p)
+
+
 def test_quadrature_certificate_triggers_on_node_starvation():
-    p = DilogParams(0.5, panel_nodes=2, arc_nodes=4, tol=1e-13)
+    p = DilogParams(0.5, steps=16, tol=1e-13)
     with pytest.raises(QuadratureError):
         s_omega_log(math.log(2.0), p)
     with pytest.raises(QuadratureError, match="node doubling moved S"):
@@ -127,16 +140,75 @@ def test_array_call_matches_scalar_calls():
     assert s_omega_log([], p).shape == (0,)
 
 
-def test_mixed_truncation_batch_matches_denser_rule():
-    om = 0.5
-    edge = 0.3 + 3.7699j  # decay rate 0.1, so the batch truncates at T >= 200
-    assert fold_decay_rate(om, edge) < 0.16
+def _batch_matches_denser_rule(om, edge):
     ells = [0.4, -1.2 + 0.5j, edge, 2.0 - 1.0j, -edge]
     batch = s_omega_log(ells, DilogParams(om))
     assert np.isfinite(batch).all()
-    dense = DilogParams(om, panel_nodes=24)
+    dense = DilogParams(om, steps=120)
     for ell, value in zip(ells, batch):
         assert abs(s_omega_log(ell, dense) - value) < 1e-10
+
+
+def test_mixed_truncation_batch_matches_denser_rule():
+    om = 0.5
+    edge = 0.3 + 3.7699j  # decay rate 0.1: the batch's line runs to L >= 320
+    assert fold_decay_rate(om, edge) < 0.16
+    _batch_matches_denser_rule(om, edge)
+
+
+def test_domain_edge_batch_stays_finite():
+    # the slowest member decays at rate 0.06, so the line runs to |t| ~ 600,
+    # where exp(u t) and the weights would leave double range unscaled
+    om = 0.3
+    edge = 0.3 + 3.3678j
+    assert 0.05 < fold_decay_rate(om, edge) < 0.07
+    _batch_matches_denser_rule(om, edge)
+
+
+# S_omega(exp(ell)) at 30 digits: the same line integral (Im t = c, c half
+# the distance to the nearest pole above 0), computed once with mpmath,
+# which is not a dependency of this package:
+#
+#   import math, mpmath as mp
+#   mp.mp.dps = 30
+#   def S(omega, ell):
+#       w = mp.mpf(omega)
+#       c = mp.pi * min(w, 1 / w) / 2
+#       u = -1j * mp.mpc(ell) / (mp.pi * w)
+#       def f(s):
+#           t = s + 1j * c
+#           return mp.exp(u * t) / (4 * t * mp.sinh(w * t) * mp.sinh(t / w))
+#       return mp.exp(mp.quad(f, [-mp.inf, -1, 0, 1, mp.inf]))
+#   for om in (0.3, 0.5, 0.7, 0.9):
+#       lq = 1j * math.pi * om * om
+#       for ell in (0.5, -1.2 + lq, 2.0 - 2 * lq, -0.7 + 1.1j):
+#           print((om, complex(ell), complex(S(om, ell))))
+#
+# Moving c to 0.3 of that distance changes no value by more than 3e-18.
+REFERENCE = [
+    (0.3, 0.5 + 0j, -0.5898337975739305 + 0.8075246691213314j),
+    (0.3, -1.2 + 0.2827433388230814j, 0.7750662395240207 + 0.4096304527853259j),
+    (0.3, 2 - 0.5654866776461628j, 7.986270553040649 - 2.4513181181992048j),
+    (0.3, -0.7 + 1.1j, 0.44677357843733745 + 0.2148733435141564j),
+    (0.5, 0.5 + 0j, 0.6764875600075098 + 0.7364540590933598j),
+    (0.5, -1.2 + 0.7853981633974483j, 0.8670482392260668 + 0.1294300365216471j),
+    (0.5, 2 - 1.5707963267948966j, -0.20505586387253125 + 8.124395699009193j),
+    (0.5, -0.7 + 1.1j, 0.7535479773262027 + 0.1355123300490937j),
+    (0.7, 0.5 + 0j, 0.8869746874109327 + 0.46181804197354426j),
+    (0.7, -1.2 + 1.5393804002589986j, 0.8762927914335361 + 0.025213630849976035j),
+    (0.7, 2 - 3.078760800517997j, 7.399174509508993 - 1.146541901917755j),
+    (0.7, -0.7 + 1.1j, 0.8472389862419097 + 0.10290252610639623j),
+    (0.9, 0.5 + 0j, 0.9323294696242754 + 0.36160995571211424j),
+    (0.9, -1.2 + 2.5446900494077327j, 0.8753651505813449 - 0.04754615280668933j),
+    (0.9, 2 - 5.089380098815465j, -0.13881987296475523 - 6.5845417116693294j),
+    (0.9, -0.7 + 1.1j, 0.8779679579854663 + 0.10629908050135374j),
+]
+
+
+@pytest.mark.parametrize("omega, ell, expected", REFERENCE)
+def test_matches_30_digit_reference(omega, ell, expected):
+    got = s_omega_log(ell, DilogParams(omega))
+    assert abs(got - expected) <= 1e-13 * abs(expected)
 
 
 # ---------------------------------------------------------------------------

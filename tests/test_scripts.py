@@ -62,15 +62,24 @@ def test_continuum_sweep_bad_input_is_a_usage_error(monkeypatch, capsys, args):
     ("dilog_defect_grid.py", ["--omegas", "nan"]),
     ("dilog_defect_grid.py", ["--x-count", "0"]),
     ("dilog_defect_grid.py", ["--x-decades", "nan"]),
-    # the certified evaluation refuses: x out of the rule's reach, or a
-    # starved rule
-    ("dilog_defect_grid.py", ["--omegas", "0.5", "--x-decades", "10"]),
-    ("dilog_defect_grid.py", ["--omegas", "0.5", "--panel-nodes", "1"]),
+    ("dilog_defect_grid.py", ["--steps", "nan"]),
+    # DilogParams refuses the step count, or the certified evaluation
+    # refuses a starved rule
+    ("dilog_defect_grid.py", ["--omegas", "0.5", "--steps", "2"]),
+    ("dilog_defect_grid.py", ["--omegas", "0.5", "--steps", "16"]),
 ])
 def test_bad_tower_or_grid_input_is_a_usage_error(monkeypatch, capsys, name, args):
     assert _run(monkeypatch, name, args) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+def test_dilog_grid_reaches_ten_decades(monkeypatch, capsys):
+    # ell = +-23.03 is inside the decay strip, so the certified rule must
+    # evaluate it
+    args = ["--omegas", "0.5", "--x-decades", "10"]
+    assert _run(monkeypatch, "dilog_defect_grid.py", args) in (0, None)
+    assert "rbd3pp" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("sites", ["4", "3,1000"])
