@@ -11,6 +11,9 @@ Verbs:
 
 Exit status is 0 when nothing failed and 1 otherwise; seeded runs with
 the same flags print byte-identical JSON.
+
+`main` pins BLAS to one thread before numpy loads, unless the thread
+variables are set: on the checks' small matrices more threads cost more.
 """
 
 from __future__ import annotations
@@ -18,11 +21,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import textwrap
-
-from .classical import CONTINUUM_MODELS, FIELD_PRESETS, continuum_check
-from .registry import build_checks, run_suite
 
 
 def _positive(text: str) -> float:
@@ -79,6 +80,7 @@ def _run_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _emit_suite(args: argparse.Namespace, pattern: str | None) -> int:
+    from .registry import run_suite
     report = run_suite(pattern=pattern, seed=args.seed, tol=args.tol,
                        max_sites=args.max_sites, jobs=args.jobs)
     if args.format == "json":
@@ -103,6 +105,7 @@ def _cmd_classical(args: argparse.Namespace) -> int:
 
 
 def _cmd_continuum(args: argparse.Namespace) -> int:
+    from .classical import FIELD_PRESETS, continuum_check
     site_counts = None
     if args.kappa_list:
         try:
@@ -151,6 +154,7 @@ def _cmd_continuum(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .registry import build_checks
     checks = build_checks()
     if args.format == "json":
         print(json.dumps([{"id": c.check_id, "claim": c.claim}
@@ -166,6 +170,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
+    from .classical import CONTINUUM_MODELS, FIELD_PRESETS
     parser = argparse.ArgumentParser(
         prog="qbax",
         description="exact symbolic and numerical checks for GL_q(2)-type "
@@ -221,6 +226,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     parser = _parser()
     args = parser.parse_args(argv)
     if not getattr(args, "command", None):

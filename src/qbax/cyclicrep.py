@@ -157,9 +157,10 @@ def _compile(alg: Presentation, polys: list[NCPoly], n_sites: int) -> _Program:
                 per_site[site].append(slots.setdefault(gi, len(slots)))
             sites.append([local.setdefault(tuple(w), len(local))
                           for w in per_site])
-            term_word += [len(sites) - 1] * len(coeff.terms)
-            term_val += map(complex, coeff.terms.values())
-            expos += coeff.terms
+            terms = coeff.terms
+            term_word += [len(sites) - 1] * len(terms)
+            term_val += map(complex, terms.values())
+            expos += terms
         bounds.append(len(sites))
     width = max(map(len, local))
     pad = [w + (len(slots),) * (width - len(w)) for w in local]

@@ -251,18 +251,15 @@ def subst_i_lam(p: NCPoly, extra_i_power: int = 0) -> NCPoly:
     li = alg.vars.index("lam")
     out: dict = {}
     for word, coeff in p.terms.items():
-        new = Coefficient.zero(alg.vars)
-        for expo, val in coeff.terms.items():
-            t = expo[li] + extra_i_power
-            if t % 2:
+        terms = coeff.terms
+        for expo in terms:
+            if (expo[li] + extra_i_power) % 2:
                 raise ValueError(
                     f"lam -> i lam leaves an imaginary unit (lam-degree {expo[li]}, "
                     f"extra power {extra_i_power})"
                 )
-            sign = -1 if (t // 2) % 2 else 1
-            new = new + Coefficient(alg.vars, {expo: sign * val})
-        if new:
-            out[word] = new
+        out[word] = Coefficient(alg.vars, {e: -v if (e[li] + extra_i_power) // 2 % 2 else v
+                                           for e, v in terms.items()})
     return NCPoly(alg, out, normalized=True)
 
 

@@ -20,6 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
+from math import inf
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .coeff import QLM, Coefficient
@@ -69,6 +72,7 @@ class Presentation:
             lhs: {w: c for w, c in rhs.items() if c} for lhs, rhs in rules.items()
         }
         self._reduce_cache: dict[LocalWord, dict[LocalWord, Coefficient]] = {}
+        self._site_cache: dict[tuple[int, LocalWord], _SiteTerms] = {}
         self._validate()
 
     def _validate(self):
@@ -111,18 +115,25 @@ class Presentation:
             rhs = rules.get((word[i], word[i + 1]))
             if rhs is None:
                 continue
-            prefix, suffix = word[:i], word[i + 2 :]
             out: dict[LocalWord, Coefficient] = {}
             for rw, rc in rhs.items():
-                for w2, c2 in self.reduce_local(prefix + rw + suffix).items():
-                    acc = out.get(w2)
-                    prod = rc * c2
-                    out[w2] = prod if acc is None else acc + prod
-            out = {w2: c2 for w2, c2 in out.items() if c2}
+                for w2, c2 in self.reduce_local(word[:i] + rw + word[i + 2:]).items():
+                    _accumulate(out, w2, rc * c2)
             self._reduce_cache[word] = out
             return out
         out = {word: Coefficient.one(self.vars)}
         self._reduce_cache[word] = out
+        return out
+
+    def site_terms(self, site: int, word: LocalWord) -> "_SiteTerms":
+        """reduce_local(word) as (letters at site, coefficient) terms, memoized;
+        the coefficient is None where it is 1."""
+        key = (site, word)
+        out = self._site_cache.get(key)
+        if out is None:
+            out = tuple((tuple((site, g) for g in w), None if c.is_one() else c)
+                        for w, c in self.reduce_local(word).items())
+            self._site_cache[key] = out
         return out
 
     # ---------------------------------------------------------- constructors
@@ -199,12 +210,7 @@ class NCPoly:
         self._check(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            acc = out.get(w)
-            s = c if acc is None else acc + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+            _accumulate(out, w, c)
         return NCPoly(self.alg, out, normalized=True)
 
     def __neg__(self) -> "NCPoly":
@@ -219,14 +225,31 @@ class NCPoly:
         if isinstance(other, (int, Fraction, Coefficient)):
             return self.scale(other)
         self._check(other)
-        raw: dict[Word, Coefficient] = {}
+        # Both operands are normal: a site held by one operand only keeps its
+        # letters, and only the sites both hold are reduced.
+        site_terms = self.alg.site_terms
+        right = [(w, c, *_blocks(w)) for w, c in other.terms.items()]
+        out: dict[Word, Coefficient] = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                prod = c1 * c2
-                acc = raw.get(w)
-                raw[w] = prod if acc is None else acc + prod
-        return NCPoly(self.alg, raw)
+            first1, last1, blocks1 = _blocks(w1)
+            for w2, c2, first2, last2, blocks2 in right:
+                c = c1 * c2
+                if last1 < first2:
+                    w = w1 + w2
+                elif last2 < first1:
+                    w = w2 + w1
+                elif blocks1.keys() == blocks2.keys():
+                    _expand([site_terms(s, x[0] + y[0])
+                             for (s, x), y in zip(blocks1.items(), blocks2.values())], c, out)
+                    continue
+                elif shared := blocks1.keys() & blocks2.keys():
+                    _expand([site_terms(s, blocks1[s][0] + b[0]) if s in shared else b[1]
+                             for s, b in sorted({**blocks1, **blocks2}.items())], c, out)
+                    continue
+                else:  # a stable sort by site keeps each site's letters in order
+                    w = tuple(sorted(w1 + w2, key=_SITE))
+                _accumulate(out, w, c)
+        return NCPoly(self.alg, out, normalized=True)
 
     def __rmul__(self, other) -> "NCPoly":
         if isinstance(other, (int, Fraction, Coefficient)):
@@ -236,12 +259,7 @@ class NCPoly:
     def scale(self, value) -> "NCPoly":
         if isinstance(value, (int, Fraction)):
             value = Coefficient.rational(value, self.alg.vars)
-        out = {}
-        for w, c in self.terms.items():
-            prod = c * value
-            if prod:
-                out[w] = prod
-        return NCPoly(self.alg, out, normalized=True)
+        return self.map_coeff(lambda c: c * value)
 
     def __pow__(self, n: int) -> "NCPoly":
         if n < 0:
@@ -251,8 +269,9 @@ class NCPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def commutator(self, other: "NCPoly") -> "NCPoly":
@@ -261,54 +280,30 @@ class NCPoly:
     # ----------------------------------------------------------------- star
     def star(self) -> "NCPoly":
         """Anti-involution: reverse words, conjugate q ↦ q⁻¹ in coefficients."""
-        raw: dict[Word, Coefficient] = {}
         has_q = "q" in self.alg.vars
-        for w, c in self.terms.items():
-            cw = c.conj_param("q") if has_q else c
-            rw = tuple(reversed(w))
-            acc = raw.get(rw)
-            raw[rw] = cw if acc is None else acc + cw
-        return NCPoly(self.alg, raw)
+        return NCPoly(self.alg, {w[::-1]: c.conj_param("q") if has_q else c
+                                 for w, c in self.terms.items()})
 
     # ----------------------------------------------------- coefficient moves
     def map_coeff(self, fn: Callable[[Coefficient], Coefficient]) -> "NCPoly":
-        out = {}
-        for w, c in self.terms.items():
-            c2 = fn(c)
-            if c2:
-                out[w] = c2
-        return NCPoly(self.alg, out, normalized=True)
+        mapped = ((w, fn(c)) for w, c in self.terms.items())
+        return NCPoly(self.alg, {w: c for w, c in mapped if c}, normalized=True)
 
     def spread_param(self, src: str, dsts: Iterable[str]) -> "NCPoly":
         """Apply src^n ↦ Π dst^n to every coefficient (spectral substitutions)."""
         dsts = tuple(dsts)
-        raw: dict[Word, Coefficient] = {}
-        for w, c in self.terms.items():
-            c2 = c.spread_param(src, dsts)
-            acc = raw.get(w)
-            raw[w] = c2 if acc is None else acc + c2
-        return NCPoly(self.alg, {w: c for w, c in raw.items() if c}, normalized=True)
+        return self.map_coeff(lambda c: c.spread_param(src, dsts))
 
     def coefficient_of(self, name: str, power: int) -> "NCPoly":
-        out = {}
-        for w, c in self.terms.items():
-            c2 = c.coefficient_of(name, power)
-            if c2:
-                out[w] = c2
-        return NCPoly(self.alg, out, normalized=True)
+        return self.map_coeff(lambda c: c.coefficient_of(name, power))
 
     def param_degrees(self, name: str) -> set[int]:
-        degs: set[int] = set()
-        for c in self.terms.values():
-            degs |= c.param_degrees(name)
-        return degs
+        return set().union(*(c.param_degrees(name) for c in self.terms.values()))
 
     # ------------------------------------------------------------------ misc
     def shift_sites(self, fn: Callable[[int], int]) -> "NCPoly":
-        raw = {}
-        for w, c in self.terms.items():
-            raw[tuple((fn(s), g) for (s, g) in w)] = c
-        return NCPoly(self.alg, raw)
+        return NCPoly(self.alg, {tuple((fn(s), g) for (s, g) in w): c
+                                 for w, c in self.terms.items()})
 
     def __repr__(self) -> str:
         return f"NCPoly<{self.alg.name}>({self})"
@@ -328,6 +323,49 @@ class NCPoly:
         return " + ".join(parts)
 
 
+_SiteTerms = tuple[tuple[Word, "Coefficient | None"], ...]
+_SITE, _GEN = itemgetter(0), itemgetter(1)
+
+
+def _blocks(word: Word) -> tuple[float, float, dict[int, tuple[LocalWord, _SiteTerms]]]:
+    """The first and last site of a normal word (±inf if it is empty), and
+    per site its local word and letters."""
+    blocks = {}
+    for s, letters in groupby(word, _SITE):
+        letters = tuple(letters)
+        blocks[s] = (tuple(map(_GEN, letters)), ((letters, None),))
+    return (word[0][0], word[-1][0], blocks) if word else (inf, -inf, blocks)
+
+
+def _expand(parts: Sequence[_SiteTerms], coeff: Coefficient, out: dict[Word, Coefficient]):
+    """Add coeff times the product of parts, one per site in site order."""
+    word: Word = ()
+    combos = None
+    for terms in parts:
+        if combos is None and len(terms) == 1:
+            ((t, lc),) = terms
+            word += t
+            if lc is not None:
+                coeff = coeff * lc
+        elif combos is None:
+            combos = [(word + t, coeff if lc is None else coeff * lc) for t, lc in terms]
+        else:
+            combos = [(w + t, c if lc is None else c * lc) for w, c in combos for t, lc in terms]
+    for w, c in ((word, coeff),) if combos is None else combos:
+        _accumulate(out, w, c)
+
+
+def _accumulate(out: dict, key, c: Coefficient):
+    """out[key] += c, dropping the entry if it cancels."""
+    acc = out.get(key)
+    if acc is not None:
+        c = acc + c
+    if c:
+        out[key] = c
+    else:
+        out.pop(key, None)
+
+
 def _normal_form(alg: Presentation, raw: Mapping[Word, Coefficient]) -> dict[Word, Coefficient]:
     out: dict[Word, Coefficient] = {}
     for word, coeff in raw.items():
@@ -337,26 +375,7 @@ def _normal_form(alg: Presentation, raw: Mapping[Word, Coefficient]) -> dict[Wor
         by_site: dict[int, list[int]] = {}
         for (s, g) in word:
             by_site.setdefault(s, []).append(g)
-        # Reduce site by site and multiply the local results back out.
-        combos: list[tuple[Word, Coefficient]] = [((), coeff)]
-        for s in sorted(by_site):
-            lw = tuple(by_site[s])
-            local = alg.reduce_local(lw)
-            if lw in local:
-                # already normal: rules only make words smaller, so lw
-                # survives only if none applied, alone and with coefficient 1
-                tail = tuple((s, g) for g in lw)
-                combos = [(w + tail, c) for (w, c) in combos]
-                continue
-            tails = [(tuple((s, g) for g in w2), c2) for w2, c2 in local.items()]
-            combos = [(w + tail, c * lc) for (w, c) in combos for (tail, lc) in tails]
-        for w, c in combos:
-            acc = out.get(w)
-            s2 = c if acc is None else acc + c
-            if s2:
-                out[w] = s2
-            else:
-                out.pop(w, None)
+        _expand([alg.site_terms(s, tuple(by_site[s])) for s in sorted(by_site)], coeff, out)
     return out
 
 
@@ -447,17 +466,10 @@ class OpMatrix:
         ]
 
     def trace(self) -> NCPoly:
-        acc = self.alg.zero()
-        for i in range(self.n):
-            acc = acc + self.rows[i][i]
-        return acc
+        return sum((self.rows[i][i] for i in range(self.n)), self.alg.zero())
 
     def param_degrees(self, name: str) -> set[int]:
-        degs: set[int] = set()
-        for r in self.rows:
-            for p in r:
-                degs |= p.param_degrees(name)
-        return degs
+        return set().union(*(p.param_degrees(name) for r in self.rows for p in r))
 
     def __repr__(self):
         return f"OpMatrix({self.n}x{self.n} over {self.alg.name})"
@@ -568,11 +580,7 @@ class GenMap:
                 if isinstance(spec, int):
                     if self.source is not self.target:
                         raise ValueError("pass-through sites need source == target")
-                    acc = acc * NCPoly(
-                        self.target,
-                        {((spec, g),): Coefficient.one(self.target.vars)},
-                        normalized=True,
-                    )
+                    acc = acc * self.target.gen(self.target.gens[g], spec)
                     continue
                 img = self.images.get(g)
                 if img is None:
@@ -589,21 +597,19 @@ class GenMap:
     def hom_defects(self) -> tuple[list[str], list[str]]:
         """Check every source rule maps to zero; returns (failures, skipped)."""
         failures, skipped = [], []
+        img = {g: self(self.source.gen(name))
+               for g, name in enumerate(self.source.gens) if g in self.images}
         for (g1, g2), rhs in self.source.rules.items():
-            letters = {g1, g2} | {g for w in rhs for g in w}
-            if not letters <= self.images.keys():
+            if not {g1, g2} | {g for w in rhs for g in w} <= img.keys():
                 skipped.append(self.source._lw((g1, g2)))
                 continue
-            lhs_img = self(self.source.gen(self.source.gens[g1])) * self(
-                self.source.gen(self.source.gens[g2])
-            )
             rhs_img = self.target.zero()
             for w, c in rhs.items():
                 term = self.target.scalar(c)
                 for g in w:
-                    term = term * self(self.source.gen(self.source.gens[g]))
+                    term = term * img[g]
                 rhs_img = rhs_img + term
-            if lhs_img != rhs_img:
+            if img[g1] * img[g2] != rhs_img:
                 failures.append(self.source._lw((g1, g2)))
         return failures, skipped
 
@@ -667,30 +673,22 @@ def check_confluence(alg: Presentation) -> ConfluenceResult:
     lhs_by_first: dict[int, list[tuple[int, int]]] = {}
     for (g1, g2) in alg.rules:
         lhs_by_first.setdefault(g1, []).append((g1, g2))
+
+    def resolve(rhs, wrap) -> dict[LocalWord, Coefficient]:
+        """Sum of rc * wrap(rw) over one rule's right side, in normal form."""
+        p = NCPoly(alg, {tuple((0, g) for g in wrap(rw)): rc for rw, rc in rhs.items()})
+        return {tuple(g for _, g in w): c for w, c in p.terms.items()}
+
     for (x, y) in alg.rules:
         for (_, z) in lhs_by_first.get(y, ()):
             n_pairs += 1
-            word = (x, y, z)
-            # reduce the left redex first, then fully
-            left_acc: dict[LocalWord, Coefficient] = {}
-            for rw, rc in alg.rules[(x, y)].items():
-                for w2, c2 in alg.reduce_local(rw + (z,)).items():
-                    acc = left_acc.get(w2)
-                    prod = rc * c2
-                    left_acc[w2] = prod if acc is None else acc + prod
-            right_acc: dict[LocalWord, Coefficient] = {}
-            for rw, rc in alg.rules[(y, z)].items():
-                for w2, c2 in alg.reduce_local((x,) + rw).items():
-                    acc = right_acc.get(w2)
-                    prod = rc * c2
-                    right_acc[w2] = prod if acc is None else acc + prod
-            left_acc = {w: c for w, c in left_acc.items() if c}
-            right_acc = {w: c for w, c in right_acc.items() if c}
+            # reduce the left redex first, then fully; then the right one
+            left_acc = resolve(alg.rules[(x, y)], lambda rw: rw + (z,))
+            right_acc = resolve(alg.rules[(y, z)], lambda rw: (x,) + rw)
             if left_acc != right_acc:
-                fmt = lambda d: " + ".join(
-                    f"({c})*{alg._lw(w)}" for w, c in sorted(d.items())
-                ) or "0"
-                failures.append((alg._lw(word), fmt(left_acc), fmt(right_acc)))
+                fmt = lambda d: " + ".join(f"({c})*{alg._lw(w)}"
+                                           for w, c in sorted(d.items())) or "0"
+                failures.append((alg._lw((x, y, z)), fmt(left_acc), fmt(right_acc)))
     return ConfluenceResult(alg.name, n_pairs, failures)
 
 

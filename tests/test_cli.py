@@ -1,6 +1,10 @@
 """Command-line behaviour: verbs, filters, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -202,3 +206,62 @@ def test_continuum_bad_input_is_a_usage_error(capsys, flags):
         code = exc.code
     assert code == 2
     assert flags[0].split("=")[0] in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the package as a program, in fresh interpreters
+# ---------------------------------------------------------------------------
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _child_env(**extra) -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return {**env, **extra}
+
+
+def test_python_dash_m_qbax_runs_the_cli():
+    done = subprocess.run([sys.executable, "-m", "qbax", "report"], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("110 registered checks")
+
+
+_SHOW_BLAS = """
+import contextlib, io, os, sys
+from qbax.cli import main
+before = [os.environ.get(v) for v in {vars}]
+assert "numpy" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["report"])
+assert "numpy" in sys.modules
+print([before, [os.environ.get(v) for v in {vars}]])
+""".format(vars=BLAS_VARS)
+
+
+def test_cli_pins_blas_threads_unless_the_user_set_them():
+    def run(**extra):
+        done = subprocess.run([sys.executable, "-c", _SHOW_BLAS], env=_child_env(**extra),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip()
+
+    # unset: importing the CLI leaves them alone, running it sets one
+    # thread before numpy loads
+    assert run() == str([[None] * 3, ["1"] * 3])
+    # a value the user set is kept
+    assert run(OPENBLAS_NUM_THREADS="3") == str([["3", None, None], ["3", "1", "1"]])
+
+
+def test_importing_every_module_runs_no_command():
+    # tools that import the whole package (as the benchmark's set-up does)
+    # must not start the CLI by importing qbax.__main__
+    import importlib
+    import pkgutil
+
+    import qbax
+
+    for info in pkgutil.iter_modules(qbax.__path__):
+        importlib.import_module(f"qbax.{info.name}")

@@ -238,3 +238,150 @@ def test_shared_unit_operand_is_left_unchanged():
                y.spread_param("lam", ("mu",)), y.conj_param("q"), y ** 2]
     assert further[0] == further[-1] and further[2].is_zero()
     assert x.terms == snapshot and y.terms == snapshot
+
+
+# ---------------------------------------------------------------------------
+# every operation against a tuple-keyed Fraction reference
+# ---------------------------------------------------------------------------
+
+def _ref(c: Coefficient) -> dict:
+    return {e: Fraction(v) for e, v in c.terms.items()}
+
+
+def _ref_clean(terms) -> dict:
+    out: dict = {}
+    for e, v in terms:
+        out[e] = out.get(e, Fraction(0)) + Fraction(v)
+    return {e: v for e, v in out.items() if v}
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    return _ref_clean((tuple(x + y for x, y in zip(e1, e2)), v1 * v2)
+                      for e1, v1 in a.items() for e2, v2 in b.items())
+
+
+def _ref_str(terms: dict, vars=QLM) -> str:
+    """The printed form, as the tuple-keyed implementation wrote it."""
+    if not terms:
+        return "0"
+    parts = []
+    for expo in sorted(terms):
+        val = terms[expo]
+        val = val.numerator if val.denominator == 1 else val
+        factors = []
+        for name, e in zip(vars, expo):
+            if e == 1:
+                factors.append(name)
+            elif e:
+                factors.append(f"{name}^{e}")
+        body = "*".join(factors)
+        if not body:
+            piece = str(val)
+        elif val == 1:
+            piece = body
+        elif val == -1:
+            piece = f"-{body}"
+        else:
+            piece = f"{val}*{body}"
+        parts.append(piece)
+    out = parts[0]
+    for piece in parts[1:]:
+        out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
+    return out
+
+
+# ints, Fractions and denominators that differ between terms
+_mixed_values = st.one_of(
+    st.integers(-12, 12),
+    st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 9, 10])))
+
+
+@st.composite
+def mixed(draw, max_terms=4):
+    terms = draw(st.dictionaries(_expos, _mixed_values, max_size=max_terms))
+    return Coefficient(QLM, terms)
+
+
+@given(mixed(), mixed(), _mixed_values, st.integers(0, 3),
+       st.sampled_from(QLM), st.integers(-3, 3))
+def test_every_operation_matches_a_fraction_reference(a, b, k, n, name, power):
+    ra, rb = _ref(a), _ref(b)
+    i = QLM.index(name)
+    assert all(type(v) is Fraction for v in ra.values())
+    power_ref = {(0,) * 3: Fraction(1)}
+    for _ in range(n):
+        power_ref = _ref_mul(power_ref, ra)
+    spread_to = [j for j in range(3) if j != i]
+    cases = [
+        (a + b, _ref_clean([*ra.items(), *rb.items()])),
+        (a - b, _ref_clean([*ra.items(), *((e, -v) for e, v in rb.items())])),
+        (a * b, _ref_mul(ra, rb)),
+        (a.scale(k), _ref_clean((e, v * k) for e, v in ra.items())),
+        (a * k, _ref_clean((e, v * k) for e, v in ra.items())),
+        (-a, {e: -v for e, v in ra.items()}),
+        (a ** n, power_ref),
+        (a.conj_param(name), {tuple(-x if j == i else x for j, x in enumerate(e)): v
+                              for e, v in ra.items()}),
+        (a.spread_param(name, [QLM[j] for j in spread_to]),
+         _ref_clean((tuple(0 if j == i else x + e[i] if j in spread_to else x
+                           for j, x in enumerate(e)), v) for e, v in ra.items())),
+        (a.coefficient_of(name, power),
+         {tuple(0 if j == i else x for j, x in enumerate(e)): v
+          for e, v in ra.items() if e[i] == power}),
+    ]
+    if a.is_monomial():
+        ((e, v),) = ra.items()
+        cases.append((a.monomial_inverse(), {tuple(-x for x in e): 1 / v}))
+        cases.append((a ** -n, {tuple(-x * n for x in e): v ** -n}))
+    for got, want in cases:
+        assert _ref(got) == want
+        assert _canonical(got)
+        rebuilt = Coefficient(QLM, want)
+        assert got == rebuilt and hash(got) == hash(rebuilt)
+        assert str(got) == _ref_str(want)
+    assert (a == b) == (ra == rb)
+    assert str(a) == _ref_str(ra) and str(b) == _ref_str(rb)
+
+
+# ---------------------------------------------------------------------------
+# the exponent range: checked where exponents enter, never aliased
+# ---------------------------------------------------------------------------
+
+LIMIT = 32767  # the largest |exponent| a packed key holds
+
+
+def test_exponents_outside_the_range_are_rejected_on_entry():
+    assert Coefficient.param("q", LIMIT).param_degrees("q") == {LIMIT}
+    assert Coefficient.param("mu", -LIMIT).param_degrees("mu") == {-LIMIT}
+    for make in (lambda: Coefficient(QLM, {(0, LIMIT + 1, 0): 1}),
+                 lambda: Coefficient.param("lam", LIMIT + 1),
+                 lambda: Coefficient.param("mu", -LIMIT - 1),
+                 lambda: Coefficient.monomial(QLM, 2, q=1, mu=LIMIT + 1)):
+        with pytest.raises(OverflowError, match=r"\^-?32768"):
+            make()
+    half = Coefficient.monomial(QLM, 1, lam=LIMIT // 2 + 1, mu=LIMIT // 2 + 1)
+    with pytest.raises(OverflowError, match=r"mu\^32768"):
+        half.spread_param("lam", ("mu",))
+    with pytest.raises(OverflowError, match=r"lam\^32768"):
+        half ** 2
+    with pytest.raises(OverflowError, match=r"lam\^-32768"):
+        half ** -2
+
+
+def test_a_product_that_would_cross_the_limit_raises():
+    big = Coefficient.param("q", 20000)
+    with pytest.raises(OverflowError, match=r"q\^40000"):
+        big * big
+    with pytest.raises(OverflowError, match=r"q\^-40000"):
+        big.monomial_inverse() * (big.monomial_inverse() + Coefficient.one())
+    with pytest.raises(OverflowError, match=r"q\^40000"):
+        (big + Coefficient.param("lam")) * (big + Coefficient.one())
+    # factor bounds that add up past the limit while no exponent does
+    assert big * big.monomial_inverse() == Coefficient.one()
+    edge = Coefficient.param("q", LIMIT - 1) * Coefficient.param("q", 1, scale=3)
+    assert edge.terms == {(LIMIT, 0, 0): 3}
+    # a sum keeps a bound from its larger summand; the product still checks
+    # exactly and does not raise when the large term has cancelled
+    gone = (big + Coefficient.param("lam")) - big
+    assert gone * big == Coefficient.monomial(QLM, 1, q=20000, lam=1)
+    assert ((big - big) * big).is_zero() and ((big - big) ** 2).is_zero()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbax.coeff import Coefficient
-from qbax.catalog import Aq, GLq2, Wq
+from qbax.catalog import ALGEBRAS, Aq, GLq2, Wq
 from qbax.ncpoly import (
     NCPoly,
     Presentation,
@@ -144,3 +144,49 @@ def test_star_is_an_anti_homomorphism(seed):
     assert (a * b).star() == b.star() * a.star()
     assert a.star().star() == a
     assert (a + b).star() == a.star() + b.star()
+
+
+# ---------------------------------------------------------------------------
+# the site-by-site product against concatenate-then-normalize
+# ---------------------------------------------------------------------------
+
+def _reference_normal_form(alg, raw):
+    """Split each word by site, reduce every site with reduce_local and
+    multiply the local results out: normal form from the rules alone."""
+    out = {}
+    for word, coeff in raw.items():
+        by_site = {}
+        for s, g in word:
+            by_site.setdefault(s, []).append(g)
+        combos = [((), coeff)]
+        for s in sorted(by_site):
+            local = alg.reduce_local(tuple(by_site[s]))
+            combos = [(w + tuple((s, g) for g in lw), c * lc)
+                      for w, c in combos for lw, lc in local.items()]
+        for w, c in combos:
+            out[w] = out[w] + c if w in out else c
+    return {w: c for w, c in out.items() if c}
+
+
+def _reference_product(a, b):
+    raw = {}
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            w = w1 + w2
+            raw[w] = raw[w] + c1 * c2 if w in raw else c1 * c2
+    return NCPoly(a.alg, _reference_normal_form(a.alg, raw), normalized=True)
+
+
+@pytest.mark.parametrize("free", [False, True], ids=["rules", "free"])
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_product_matches_concatenate_then_normalize(name, free):
+    alg = ALGEBRAS[name].free_copy() if free else ALGEBRAS[name]
+    rng = random.Random(f"{name}/{free}")
+    for n_sites in (1, 2, 3, 4):
+        for _ in range(6):
+            a, b = (random_poly(alg, rng, n_terms=rng.randrange(1, 5), max_len=4,
+                                n_sites=n_sites) for _ in range(2))
+            assert a * b == _reference_product(a, b)
+            # the inputs are normal forms of their own words
+            assert a == NCPoly(alg, _reference_normal_form(alg, a.terms),
+                               normalized=True)
