@@ -59,7 +59,7 @@ def _comma_list(item):
 
 
 def _run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_int_at_least(0), default=0,
                         help="base seed for all sampled checks (default 0)")
     parser.add_argument("--tol", type=_positive, default=None,
                         help="override every numeric tolerance "

@@ -24,7 +24,9 @@ identity matrix.
 Everything else is generic numeric evaluation: exact polynomials are
 compiled once into representation-free index arrays and evaluated as a
 Khatri-Rao product times one GEMM (Van Loan, "The ubiquitous Kronecker
-product", J. Comput. Appl. Math. 123, 2000); on top of that, relation
+product", J. Comput. Appl. Math. 123, 2000); a compiled program keeps its
+one-site operator products for the last few representations, so a new
+spectral point only reweights them.  On top of that come relation
 residuals, the exact 4N x 4N exchange residual R12 L13 L23 - L23 L13 R12,
 transfer commutators, and a Fourier fit against the conserved charges.
 """
@@ -131,16 +133,24 @@ def glq2ext_rep(N: int, m: int = 1, c: complex = 2.0 + 0.5j) -> dict[str, np.nda
 # generic numeric evaluation
 # --------------------------------------------------------------------------
 
+# representations whose one-site products a compiled program keeps
+_CACHED_REPS = 8
+
+
 class _Program(NamedTuple):
-    """Exact polynomials compiled to arrays that no representation enters."""
+    """Exact polynomials compiled to arrays that no representation enters,
+    plus what each of the last few representations makes of them."""
     alg: Presentation
     gens: tuple[str, ...]   # generators that occur, then the identity
     local: np.ndarray       # (U, width) distinct one-site words, padded
     sites: np.ndarray       # (W, n_sites) row of `local` per word and site
     bounds: np.ndarray      # words of entry k are bounds[k]:bounds[k + 1]
+    select: np.ndarray      # (W,) flat index of each word in a (K, W) matrix
     term_word: np.ndarray   # (T,) word of each coefficient term
     term_val: np.ndarray    # (T,) its rational value
     powers: tuple           # (variable, exponents, index per term)
+    products: dict          # rep content -> _one_site_products, at most
+                            # _CACHED_REPS, least recently used first
 
 
 def _compile(alg: Presentation, polys: list[NCPoly], n_sites: int) -> _Program:
@@ -165,13 +175,44 @@ def _compile(alg: Presentation, polys: list[NCPoly], n_sites: int) -> _Program:
     width = max(map(len, local))
     pad = [w + (len(slots),) * (width - len(w)) for w in local]
     expo = np.array(expos, dtype=int).reshape(len(expos), len(alg.vars))
+    bounds = np.array(bounds)
     return _Program(
         alg, tuple(alg.gens[gi] for gi in slots),
         np.array(pad, dtype=np.intp).reshape(len(pad), width),
-        np.array(sites, dtype=np.intp).reshape(-1, n_sites), np.array(bounds),
+        np.array(sites, dtype=np.intp).reshape(-1, n_sites), bounds,
+        np.repeat(np.arange(len(polys)), np.diff(bounds)) * len(sites)
+        + np.arange(len(sites)),
         np.array(term_word, dtype=np.intp), np.array(term_val, dtype=complex),
         tuple((v, *np.unique(expo[:, j], return_inverse=True))
-              for j, v in enumerate(alg.vars) if expo[:, j].any()))
+              for j, v in enumerate(alg.vars) if expo[:, j].any()), {})
+
+
+def _one_site_products(prog: _Program, rep: dict[str, np.ndarray],
+                       N: int) -> np.ndarray:
+    """Every distinct one-site product of `prog` in `rep`, (U, N, N); at one
+    site, already gathered per word, (W, N * N).
+
+    They do not depend on the coefficient values, so each program keeps
+    them for its last _CACHED_REPS representations, keyed by the content
+    of the generator matrices it uses: an array changed in place is a new
+    representation, and equal arrays in another dict are the same one.
+    The matrices are N x N, so N, dtypes and bytes fix them.
+    """
+    mats = [np.asarray(rep[g]) for g in prog.gens]
+    key = (N, *[(m.dtype, m.tobytes()) for m in mats])
+    P = prog.products.pop(key, None)
+    if P is None:
+        mats = np.stack(mats + [np.eye(N)]).astype(complex)
+        P = np.broadcast_to(np.eye(N, dtype=complex), (len(prog.local), N, N))
+        for col in prog.local.T:   # every distinct one-site product, once
+            P = P @ mats[col]
+        if prog.sites.shape[1] == 1:
+            P = P[prog.sites[:, 0]].reshape(-1, N * N)
+        P.flags.writeable = False   # every later caller shares it
+    prog.products[key] = P
+    for old in list(prog.products)[:-_CACHED_REPS]:
+        prog.products.pop(old, None)
+    return P
 
 
 def _contract(prog: _Program, rep: dict[str, np.ndarray],
@@ -200,16 +241,11 @@ def _contract(prog: _Program, rep: dict[str, np.ndarray],
     (N, _), (W, n), K = shapes[0], prog.sites.shape, len(prog.bounds) - 1
     coeff = (np.bincount(prog.term_word, term.real, W)
              + 1j * np.bincount(prog.term_word, term.imag, W))
-    mats = np.stack([rep[g] for g in prog.gens] + [np.eye(N)]).astype(complex)
-    P = np.broadcast_to(np.eye(N, dtype=complex), (len(prog.local), N, N))
-    for col in prog.local.T:   # every distinct one-site product, once
-        P = P @ mats[col]
+    P = _one_site_products(prog, rep, N)
     if n == 1:   # the weighted sum is a (K, W) coefficient matrix product
-        select = np.zeros((K, W), dtype=complex)
-        entry = np.repeat(np.arange(K), np.diff(prog.bounds))
-        select[entry, np.arange(W)] = coeff
-        return (select @ P[prog.sites[:, 0]].reshape(W, N * N)
-                ).reshape(K, N, N)
+        select = np.zeros(K * W, dtype=complex)
+        select[prog.select] = coeff
+        return (select.reshape(K, W) @ P).reshape(K, N, N)
     a = n - n // 2
     M1, M2, out = N**a, N ** (n - a), None
     for k in range(K):
@@ -342,8 +378,10 @@ def transfer_commutator_num(L_builder, alg: Presentation,
                             x: complex, y: complex, q_val: complex) -> float:
     """|| [T(x), T(y)] ||_F / (||T(x)||_F ||T(y)||_F)."""
     Tx, Ty = _transfers(L_builder, alg, rep, n_sites, q_val, (x, y))
-    num = np.linalg.norm(Tx @ Ty - Ty @ Tx)
-    return float(num / (np.linalg.norm(Tx) * np.linalg.norm(Ty)))
+    C = Tx @ Ty
+    C -= Ty @ Tx   # in place: one D x D array fewer at the peak
+    return float(np.linalg.norm(C)
+                 / (np.linalg.norm(Tx) * np.linalg.norm(Ty)))
 
 
 def qdst_charge_fit(alg: Presentation, rep: dict[str, np.ndarray],

@@ -698,7 +698,7 @@ def check_confluence(alg: Presentation) -> ConfluenceResult:
 
 def random_poly(alg: Presentation, rng, n_terms: int = 3, max_len: int = 4, n_sites: int = 1) -> NCPoly:
     """A small random element; deterministic given the rng state."""
-    total = alg.zero()
+    raw: dict[Word, Coefficient] = {}
     for _ in range(n_terms):
         length = rng.randrange(max_len + 1)
         word = tuple(
@@ -710,5 +710,5 @@ def random_poly(alg: Presentation, rng, n_terms: int = 3, max_len: int = 4, n_si
             Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)),
             q=rng.randrange(-2, 3),
         )
-        total = total + NCPoly(alg, {word: coeff})
-    return total
+        _accumulate(raw, word, coeff)
+    return NCPoly(alg, raw)

@@ -533,8 +533,10 @@ def build_checks(seed: int = 0, tol: float | None = None,
     checks (at most 3 sites; the exact transfer-commute-* identities always
     use 2 and 3).  A tol that is not finite and positive raises ValueError:
     nan or a nonpositive value would fail every numeric check; so does a
-    max_sites below 1.
+    max_sites below 1, and a negative seed, which no seeded check can use.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if max_sites < 1:

@@ -82,6 +82,15 @@ def test_max_sites_must_be_a_positive_integer(capsys, max_sites):
     assert "--max-sites" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_seed_must_be_a_non_negative_integer(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--filter", "qdilog-power*,rep-rll", "--seed", seed])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--seed" in captured.err and "[FAIL]" not in captured.out
+
+
 def test_qdilog_verb(capsys):
     code = main(["qdilog"])
     out = capsys.readouterr().out

@@ -10,6 +10,11 @@ import pytest
 from qbax.catalog import Aq, GLq2, GLq2Ext, Wq
 from qbax.coeff import Coefficient
 from qbax.cyclicrep import (
+    _CACHED_REPS,
+    _compile,
+    _contract,
+    _rll_program,
+    _transfer_program,
     glq2ext_rep,
     monodromy_num,
     numeric_opmatrix,
@@ -250,7 +255,117 @@ def test_transfer_commutator_memory_stays_near_four_dense_matrices(
     finally:
         tracemalloc.stop()
     assert res < 1e-12
-    assert peak <= 5.5 * dense, peak / dense
+    assert peak <= 4.5 * dense, peak / dense
+
+
+def _monodromy_program(n_sites):
+    M = monodromy(L_ext_hat, GLq2Ext.free_copy(), n_sites)
+    return _compile(M.alg, [p for row in M.rows for p in row], n_sites)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+@pytest.mark.parametrize("n_sites", [1, 2, 3])
+def test_cached_products_give_bit_identical_results(n_sites, N):
+    rep = glq2ext_rep(N)
+    prog = _monodromy_program(n_sites)
+    points = [_oracle_vals(N, lam) for lam in spectral_points(3, 3)]
+    _contract(prog, rep, points[0])
+    (cached,) = prog.products.values()
+    for vals in points[1:]:
+        got = _contract(prog, rep, vals)
+        # a fresh program has nothing cached and builds its own products
+        want = _contract(_monodromy_program(n_sites), rep, vals)
+        assert np.array_equal(got, want)
+    (again,) = prog.products.values()
+    assert again is cached and not cached.flags.writeable
+
+
+def _weyl_program():
+    p = Wq.gen("u", 0) * Wq.gen("v", 1) * Wq.param("lam") + Wq.gen("vinv", 1)
+    return _compile(Wq, [p], 2)
+
+
+def test_an_array_changed_in_place_is_a_new_representation():
+    N, vals = 3, _oracle_vals(3)
+    rep = weyl_rep(N)
+    prog = _weyl_program()
+    before = _contract(prog, rep, vals)
+    rep["v"][...] = rep["v"] @ rep["v"]
+    after = _contract(prog, rep, vals)
+    assert np.array_equal(after, _contract(_weyl_program(), rep, vals))
+    assert not np.allclose(before, after)
+    assert len(prog.products) == 2
+
+
+def test_equal_arrays_in_another_dict_share_one_entry():
+    vals = _oracle_vals(3)
+    prog = _weyl_program()
+    first = _contract(prog, weyl_rep(3), vals)
+    copy = {g: m.copy() for g, m in weyl_rep(3).items()}
+    assert np.array_equal(_contract(prog, copy, vals), first)
+    # the key holds only the generators the program uses, and it has no ut
+    assert np.array_equal(_contract(prog, weyl_rep(3, z=2.0), vals), first)
+    assert len(prog.products) == 1
+
+
+def test_a_program_without_generators_keys_on_the_size():
+    prog = _compile(Wq, [Wq.param("lam", 2, scale=3)], 2)
+    for N in (3, 5, 3):
+        vals = _oracle_vals(N)
+        got = _contract(prog, weyl_rep(N), vals)[0]
+        assert np.allclose(got, 3 * vals["lam"] ** 2 * np.eye(N**2))
+    assert len(prog.products) == 2
+
+
+def test_the_cache_keeps_at_most_a_fixed_number_of_representations():
+    vals = _oracle_vals(3)
+    prog = _weyl_program()
+    reps = [dict(weyl_rep(3), u=z * weyl_rep(3)["u"])
+            for z in range(1, _CACHED_REPS + 4)]
+    for rep in reps:
+        _contract(prog, rep, vals)
+        assert len(prog.products) <= _CACHED_REPS
+    assert len(prog.products) == _CACHED_REPS
+    kept = [id(P) for P in prog.products.values()]
+    _contract(prog, reps[-1], vals)   # the newest is still there
+    assert [id(P) for P in prog.products.values()] == kept
+
+
+def test_boundary_errors_still_raise_on_a_warm_program():
+    vals = _oracle_vals(3)
+    prog = _weyl_program()
+    _contract(prog, weyl_rep(3), vals)
+    with pytest.raises(ValueError, match="square and of one size"):
+        _contract(prog, dict(weyl_rep(3), ut=np.eye(5)), vals)
+    with pytest.raises(KeyError, match="'v' of Wq"):
+        _contract(prog, {g: m for g, m in weyl_rep(3).items() if g != "v"},
+                  vals)
+    with pytest.raises(KeyError, match=r"no numeric value for \['lam'\]"):
+        _contract(prog, weyl_rep(3), {"q": vals["q"]})
+    assert len(prog.products) == 1
+
+
+def test_a_program_caches_one_site_products_not_khatri_rao_products():
+    # at N = 7 and 3 sites one Khatri-Rao head of the transfer is its words
+    # times N^4 complex values; the products of every cached representation
+    # together must stay well below one such head
+    N, n = 7, 3
+    x, y = spectral_points(9, 2)
+    for rep in (glq2ext_rep(N), glq2ext_rep(N, c=1.5)):
+        transfer_commutator_num(L_ext_hat, GLq2Ext, rep, n, x, y,
+                                root_of_unity(N))
+    prog = _transfer_program(L_ext_hat, GLq2Ext, n)
+    # other tests may have cached this program at smaller N too
+    assert 2 <= len(prog.products) <= _CACHED_REPS
+    for P in prog.products.values():
+        M = P.shape[-1]
+        assert P.shape == (len(prog.local), M, M) and M <= N
+    assert sum(P.nbytes for P in prog.products.values()) < (
+        16 * len(prog.sites) * N**4)
+    # at one site the words' products are gathered, one N x N each
+    rll = _rll_program(R_sym, L_weyl, Wq)
+    rll_residual_num(R_sym, L_weyl, Wq, weyl_rep(N), x, y, root_of_unity(N))
+    assert (len(rll.sites), N * N) in {P.shape for P in rll.products.values()}
 
 
 def test_parallel_rep_run_is_byte_identical():

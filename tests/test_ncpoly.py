@@ -190,3 +190,34 @@ def test_product_matches_concatenate_then_normalize(name, free):
             # the inputs are normal forms of their own words
             assert a == NCPoly(alg, _reference_normal_form(alg, a.terms),
                                normalized=True)
+
+
+def _random_poly_term_by_term(alg, rng, n_terms=3, max_len=4, n_sites=1):
+    """random_poly as a sum of one-term polynomials, each normalized."""
+    total = alg.zero()
+    for _ in range(n_terms):
+        length = rng.randrange(max_len + 1)
+        word = tuple((rng.randrange(n_sites), rng.randrange(len(alg.gens)))
+                     for _ in range(length))
+        coeff = Coefficient.monomial(
+            alg.vars, Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)),
+            q=rng.randrange(-2, 3))
+        total = total + NCPoly(alg, {word: coeff})
+    return total
+
+
+@pytest.mark.parametrize("free", [False, True], ids=["rules", "free"])
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_random_poly_matches_the_term_by_term_sum(name, free):
+    alg = ALGEBRAS[name].free_copy() if free else ALGEBRAS[name]
+    seed = f"random-poly/{name}/{free}"
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    for n_sites in (1, 2, 3):
+        for n_terms in (1, 3, 8):
+            for _ in range(10):
+                got = random_poly(alg, got_rng, n_terms, 4, n_sites)
+                want = _random_poly_term_by_term(alg, want_rng, n_terms, 4,
+                                                 n_sites)
+                assert got == want
+    # the same draws, in the same order
+    assert got_rng.getstate() == want_rng.getstate()

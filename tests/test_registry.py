@@ -187,6 +187,16 @@ def test_max_sites_below_one_is_rejected(max_sites):
         build_checks(max_sites=max_sites)
 
 
+@pytest.mark.parametrize("seed", [-1, -2**40])
+def test_negative_seed_is_rejected_before_any_check_runs(seed):
+    # not a failed check: no seeded draw is ever made from a negative seed
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match="seed must be a non-negative"):
+            run_suite(pattern="qdilog-power*,rep-rll", seed=seed, jobs=jobs)
+    with pytest.raises(ValueError, match="seed"):
+        build_checks(seed=seed)
+
+
 class _InlinePool:
     """Stands in for multiprocessing.Pool: records its size, runs inline."""
 
