@@ -3,10 +3,12 @@
 
 For each clock size N and chain length the script reports the transfer
 commutator norm and the DFT fit of the Laurent coefficients against the
-charges Q and Q H.  Dimensions grow as N^sites, so keep sites small.
+charges Q and Q H.  Dimensions grow as N^sites, so keep sites small.  Exit
+status 1 when any value exceeds TOL (or is not a number), 2 on bad input.
 """
 
 import argparse
+import sys
 
 from qbax.catalog import Aq
 from qbax.cli import _comma_list, _int_at_least
@@ -19,8 +21,11 @@ from qbax.cyclicrep import (
 )
 from qbax.lmatrices import L_qdst
 
-# the transfer matrices are dense N^sites x N^sites complex arrays
+# the charge fit builds dense N^sites x N^sites complex arrays
 MAX_DIM = 1000
+# the registry's pinned tolerance for rep-transfer-commute and
+# rep-qdst-charges
+TOL = 1e-10
 
 
 def _clock_size(text: str) -> int:
@@ -52,6 +57,7 @@ def main() -> None:
     header = (f"{'N':>3} {'sites':>5} {'dim':>6}  {'[T(x),T(y)]':>12}  "
               f"{'lam^-n vs Q':>12}  {'lam^(2-n) vs QH':>16}")
     print(header)
+    failed = False
     for N in Ns:
         rep = qosc_rep(N)
         q_val = root_of_unity(N)
@@ -62,6 +68,11 @@ def main() -> None:
             print(f"{N:>3} {n_sites:>5} {N**n_sites:>6}  {comm:>12.2e}  "
                   f"{fit['lam^-n vs Q']:>12.2e}  "
                   f"{fit['lam^(2-n) vs QH']:>16.2e}")
+            # a NaN fails too
+            failed |= not all(v <= TOL for v in (comm, *fit.values()))
+    if failed:
+        print(f"error: a value exceeds {TOL:g}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

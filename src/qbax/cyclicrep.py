@@ -21,14 +21,12 @@ the collapse homomorphism onto the oscillator: a = e, b = c = k,
 th = k^-1, d = f.  Both eta invariants th.b and th.c then become the
 identity matrix.
 
-Everything else is generic numeric evaluation: exact polynomials are
-compiled once into representation-free index arrays and evaluated as a
-Khatri-Rao product times one GEMM (Van Loan, "The ubiquitous Kronecker
-product", J. Comput. Appl. Math. 123, 2000); a compiled program keeps its
-one-site operator products for the last few representations, so a new
-spectral point only reweights them.  On top of that come relation
-residuals, the exact 4N x 4N exchange residual R12 L13 L23 - L23 L13 R12,
-transfer commutators, and a Fourier fit against the conserved charges.
+Everything else is generic numeric evaluation: relation residuals, and
+compiled exact polynomials.  Each generator matrix has one nonzero per row
+(Weyl's clock-and-shift form), so each word is a weighted column map of
+(C^N)^(tensor n), cached per representation in layers of equal maps.  On
+them rest the exact 4N x 4N exchange residual R12 L13 L23 - L23 L13 R12,
+transfer commutators taken layer by layer, and a Fourier charge fit.
 """
 
 from __future__ import annotations
@@ -133,8 +131,7 @@ def glq2ext_rep(N: int, m: int = 1, c: complex = 2.0 + 0.5j) -> dict[str, np.nda
 # generic numeric evaluation
 # --------------------------------------------------------------------------
 
-# representations whose one-site products a compiled program keeps
-_CACHED_REPS = 8
+_CACHED_REPS = 8   # representations whose maps a compiled program keeps
 
 
 class _Program(NamedTuple):
@@ -142,88 +139,56 @@ class _Program(NamedTuple):
     plus what each of the last few representations makes of them."""
     alg: Presentation
     gens: tuple[str, ...]   # generators that occur, then the identity
-    local: np.ndarray       # (U, width) distinct one-site words, padded
-    sites: np.ndarray       # (W, n_sites) row of `local` per word and site
+    n_sites: int
+    letters: np.ndarray     # (W, width) gens index * n_sites + site, padded
     bounds: np.ndarray      # words of entry k are bounds[k]:bounds[k + 1]
-    select: np.ndarray      # (W,) flat index of each word in a (K, W) matrix
     term_word: np.ndarray   # (T,) word of each coefficient term
     term_val: np.ndarray    # (T,) its rational value
     powers: tuple           # (variable, exponents, index per term)
-    products: dict          # rep content -> _one_site_products, at most
-                            # _CACHED_REPS, least recently used first
+    maps: dict              # rep content -> _Maps, least recently used first
+
+
+class _Maps(NamedTuple):
+    """Row r of a word in layer g has its one nonzero in column cols[g, r]."""
+    weight: np.ndarray    # (W, D) each word's nonzero in each row
+    flat: np.ndarray      # (2 W D,) float index of its parts in (K, D, D)
+    member: np.ndarray    # (G, W) 1 where a word is in a layer
+    cols: np.ndarray      # (G, D)
 
 
 def _compile(alg: Presentation, polys: list[NCPoly], n_sites: int) -> _Program:
     slots: dict[int, int] = {}
-    local: dict[tuple[int, ...], int] = {(): 0}
-    sites, bounds, term_word, term_val, expos = [], [0], [], [], []
+    words, bounds, term_word, term_val, expos = [], [0], [], [], []
     for p in polys:
         for word, coeff in p.terms.items():
-            per_site: list[list[int]] = [[] for _ in range(n_sites)]
-            for site, gi in word:
-                if not 0 <= site < n_sites:
-                    raise ValueError(
-                        f"site {site} is outside range({n_sites})")
-                per_site[site].append(slots.setdefault(gi, len(slots)))
-            sites.append([local.setdefault(tuple(w), len(local))
-                          for w in per_site])
+            bad = [site for site, _ in word if not 0 <= site < n_sites]
+            if bad:
+                raise ValueError(f"site {bad[0]} is outside range({n_sites})")
+            words.append([slots.setdefault(gi, len(slots)) * n_sites + site
+                          for site, gi in word])
             terms = coeff.terms
-            term_word += [len(sites) - 1] * len(terms)
+            term_word += [len(words) - 1] * len(terms)
             term_val += map(complex, terms.values())
             expos += terms
-        bounds.append(len(sites))
-    width = max(map(len, local))
-    pad = [w + (len(slots),) * (width - len(w)) for w in local]
+        bounds.append(len(words))
+    width = max(map(len, words), default=0)
+    pad = [w + [len(slots) * n_sites] * (width - len(w)) for w in words]
     expo = np.array(expos, dtype=int).reshape(len(expos), len(alg.vars))
-    bounds = np.array(bounds)
     return _Program(
-        alg, tuple(alg.gens[gi] for gi in slots),
+        alg, tuple(alg.gens[gi] for gi in slots), n_sites,
         np.array(pad, dtype=np.intp).reshape(len(pad), width),
-        np.array(sites, dtype=np.intp).reshape(-1, n_sites), bounds,
-        np.repeat(np.arange(len(polys)), np.diff(bounds)) * len(sites)
-        + np.arange(len(sites)),
-        np.array(term_word, dtype=np.intp), np.array(term_val, dtype=complex),
+        np.array(bounds), np.array(term_word, dtype=np.intp),
+        np.array(term_val, dtype=complex),
         tuple((v, *np.unique(expo[:, j], return_inverse=True))
               for j, v in enumerate(alg.vars) if expo[:, j].any()), {})
 
 
-def _one_site_products(prog: _Program, rep: dict[str, np.ndarray],
-                       N: int) -> np.ndarray:
-    """Every distinct one-site product of `prog` in `rep`, (U, N, N); at one
-    site, already gathered per word, (W, N * N).
-
-    They do not depend on the coefficient values, so each program keeps
-    them for its last _CACHED_REPS representations, keyed by the content
-    of the generator matrices it uses: an array changed in place is a new
-    representation, and equal arrays in another dict are the same one.
-    The matrices are N x N, so N, dtypes and bytes fix them.
-    """
-    mats = [np.asarray(rep[g]) for g in prog.gens]
-    key = (N, *[(m.dtype, m.tobytes()) for m in mats])
-    P = prog.products.pop(key, None)
-    if P is None:
-        mats = np.stack(mats + [np.eye(N)]).astype(complex)
-        P = np.broadcast_to(np.eye(N, dtype=complex), (len(prog.local), N, N))
-        for col in prog.local.T:   # every distinct one-site product, once
-            P = P @ mats[col]
-        if prog.sites.shape[1] == 1:
-            P = P[prog.sites[:, 0]].reshape(-1, N * N)
-        P.flags.writeable = False   # every later caller shares it
-    prog.products[key] = P
-    for old in list(prog.products)[:-_CACHED_REPS]:
-        prog.products.pop(old, None)
-    return P
-
-
-def _contract(prog: _Program, rep: dict[str, np.ndarray],
-              values: dict[str, complex]) -> np.ndarray:
-    """The compiled entries on (C^N)^(tensor n_sites), shape (K, D, D).
-
-    A weighted sum of Kronecker products is the Khatri-Rao product over
-    head sites 0..a-1, a = ceil(n/2), transposed, times the coefficient-
-    weighted one over the tail sites, realigned into Kronecker order.
-    Words go in chunks of N^(2(n - a)), so a head chunk is at most D x D.
-    """
+def _evaluate(prog: _Program, rep: dict[str, np.ndarray],
+              *points: dict[str, complex]) -> tuple[_Maps, list[np.ndarray]]:
+    """`prog`'s words in `rep` as column maps, with a weight per row, and their
+    coefficients at each of `points`.  The maps of the last _CACHED_REPS reps
+    are kept, keyed by the content of the generator matrices used: an array
+    changed in place is a new rep, equal arrays in another dict the same."""
     shapes = sorted({np.shape(m) for m in rep.values()})
     if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
         raise ValueError("rep matrices must all be square and of one size, "
@@ -232,41 +197,67 @@ def _contract(prog: _Program, rep: dict[str, np.ndarray],
     if missing:
         raise KeyError(f"rep has no matrix for generator {missing[0]!r} "
                        f"of {prog.alg.name}")
-    missing = [v for v, _, _ in prog.powers if v not in values]
-    if missing:
-        raise KeyError(f"no numeric value for {missing}")
-    term = prog.term_val.copy()
-    for v, expo, index in prog.powers:
-        term *= np.array([values[v] ** int(e) for e in expo])[index]
-    (N, _), (W, n), K = shapes[0], prog.sites.shape, len(prog.bounds) - 1
-    coeff = (np.bincount(prog.term_word, term.real, W)
-             + 1j * np.bincount(prog.term_word, term.imag, W))
-    P = _one_site_products(prog, rep, N)
-    if n == 1:   # the weighted sum is a (K, W) coefficient matrix product
-        select = np.zeros(K * W, dtype=complex)
-        select[prog.select] = coeff
-        return (select.reshape(K, W) @ P).reshape(K, N, N)
-    a = n - n // 2
-    M1, M2, out = N**a, N ** (n - a), None
-    for k in range(K):
-        acc = np.zeros((M1 * M1, M2 * M2), dtype=complex)
-        for lo in range(prog.bounds[k], prog.bounds[k + 1], M2 * M2):
-            w = slice(lo, min(lo + M2 * M2, prog.bounds[k + 1]))
-            tail = _khatri_rao(P[prog.sites[w, a:]]) * coeff[w, None]
-            acc += _khatri_rao(P[prog.sites[w, :a]]).T @ tail
-        if out is None:   # allocated late: one D x D fewer at the peak
-            out = np.empty((K, M1, M2, M1, M2), dtype=complex)
-        out[k] = acc.reshape(M1, M1, M2, M2).transpose(0, 2, 1, 3)
-    return out.reshape(K, N**n, N**n)
+    coeffs, W = [], len(prog.letters)
+    for values in points:
+        missing = [v for v, _, _ in prog.powers if v not in values]
+        if missing:
+            raise KeyError(f"no numeric value for {missing}")
+        term = prog.term_val.copy()
+        for v, expo, index in prog.powers:
+            term *= np.array([values[v] ** int(e) for e in expo])[index]
+        coeffs.append(np.bincount(prog.term_word, term.real, W)
+                      + 1j * np.bincount(prog.term_word, term.imag, W))
+    N = shapes[0][0]   # matrices N x N: N, dtypes and bytes fix them
+    mats = [np.asarray(rep[g]) for g in prog.gens]
+    key = (N, *[(m.dtype, m.tobytes()) for m in mats])
+    maps = prog.maps.pop(key, None)
+    if maps is None:
+        mat = np.array(mats + [np.eye(N)])   # the identity pads words
+        gcol = (mat != 0).argmax(axis=2)
+        gval = np.take_along_axis(mat, gcol[..., None], 2)[..., 0]
+        many = np.count_nonzero(mat, axis=(1, 2)) > np.count_nonzero(gval, 1)
+        if many.any():   # a row with two nonzeros keeps only one in gval
+            raise ValueError(f"generator {prog.gens[many.argmax()]!r} has a "
+                             "row with more than one nonzero")
+        n, D = prog.n_sites, N**prog.n_sites
+        place = N ** np.arange(n - 1, -1, -1)[:, None]
+        digit = np.arange(D) // place % N   # (n, D) per site and row
+        # a letter's map moves one base-N digit, site 0 leading: (gens, n, D)
+        lcol = (np.arange(D) + (gcol[:, digit] - digit) * place).reshape(-1)
+        lval = gval[:, digit].reshape(-1)
+        col = np.broadcast_to(np.arange(D), (W, D))
+        val = np.ones(col.shape, dtype=complex)
+        for at in (prog.letters * D).T:
+            at = at[:, None] + col
+            val = val * lval[at]
+            col = lcol[at]
+        seen: dict[bytes, int] = {}   # a map -> its layer, by first use
+        layer = [seen.setdefault(c.tobytes(), len(seen)) for c in col]
+        cols = np.empty((len(seen), D), dtype=np.intp)
+        cols[layer] = col
+        entry = np.repeat(np.arange(len(prog.bounds) - 1),
+                          np.diff(prog.bounds))[:, None]
+        flat = (entry * D + np.arange(D)) * D + col
+        maps = _Maps(val, (2 * flat[..., None] + (0, 1)).reshape(-1),
+                     (np.arange(len(cols))[:, None] == layer).astype(float),
+                     cols)
+        for a in maps:
+            a.flags.writeable = False   # every later caller shares them
+    prog.maps[key] = maps
+    for old in list(prog.maps)[:-_CACHED_REPS]:
+        prog.maps.pop(old, None)
+    return maps, coeffs
 
 
-def _khatri_rao(f: np.ndarray) -> np.ndarray:
-    """Per word, the flat Kronecker product of its factors, site 0 leftmost."""
-    out = f[:, 0]
-    for s in range(1, f.shape[1]):
-        out = (out[:, :, None, :, None] * f[:, s, None, :, None, :]
-               ).reshape(len(f), out.shape[1] * f.shape[2], -1)
-    return out.reshape(len(f), -1)
+def _contract(prog: _Program, rep: dict[str, np.ndarray],
+              values: dict[str, complex]) -> np.ndarray:
+    """The compiled entries on (C^N)^(tensor n_sites), shape (K, D, D): one
+    bincount of the words' weighted nonzeros into the result's float view."""
+    maps, (coeff,) = _evaluate(prog, rep, values)
+    (_, D), K = maps.weight.shape, len(prog.bounds) - 1
+    val = (coeff[:, None] * maps.weight).view(float).reshape(-1)
+    return np.bincount(maps.flat, val, 2 * K * D * D).view(complex).reshape(
+        K, D, D)
 
 
 def numeric_poly(p: NCPoly, rep: dict[str, np.ndarray], n_sites: int,
@@ -352,14 +343,6 @@ def _transfer_program(L_builder, alg: Presentation, n_sites: int) -> _Program:
                     n_sites)
 
 
-def _transfers(L_builder, alg: Presentation, rep: dict[str, np.ndarray],
-               n_sites: int, q_val: complex, lams) -> list[np.ndarray]:
-    """T(lam) at each of lams, from one exact transfer built over
-    alg.free_copy(), so the numbers never depend on the rewrite rules."""
-    prog = _transfer_program(L_builder, alg, n_sites)
-    return [_contract(prog, rep, _values(q_val, lam))[0] for lam in lams]
-
-
 def monodromy_num(L_builder, alg: Presentation, rep: dict[str, np.ndarray],
                   n_sites: int, lam: complex, q_val: complex) -> np.ndarray:
     """Ordered product L(site n-1) ... L(site 0), shape (2, 2, D, D)."""
@@ -370,18 +353,35 @@ def monodromy_num(L_builder, alg: Presentation, rep: dict[str, np.ndarray],
 def transfer_num(L_builder, alg: Presentation, rep: dict[str, np.ndarray],
                  n_sites: int, lam: complex, q_val: complex) -> np.ndarray:
     """T(lam), the trace of the monodromy, as a D x D matrix."""
-    return _transfers(L_builder, alg, rep, n_sites, q_val, [lam])[0]
+    return _contract(_transfer_program(L_builder, alg, n_sites), rep,
+                     _values(q_val, lam))[0]
 
 
 def transfer_commutator_num(L_builder, alg: Presentation,
                             rep: dict[str, np.ndarray], n_sites: int,
                             x: complex, y: complex, q_val: complex) -> float:
-    """|| [T(x), T(y)] ||_F / (||T(x)||_F ||T(y)||_F)."""
-    Tx, Ty = _transfers(L_builder, alg, rep, n_sites, q_val, (x, y))
-    C = Tx @ Ty
-    C -= Ty @ Tx   # in place: one D x D array fewer at the peak
-    return float(np.linalg.norm(C)
-                 / (np.linalg.norm(Tx) * np.linalg.norm(Ty)))
+    """|| [T(x), T(y)] ||_F / (||T(x)||_F ||T(y)||_F), without D x D products.
+
+    T(x) = sum_g diag(x_g) S_g over the transfer's layers, S_g the 0/1 matrix
+    of map cols[g].  As S_g diag(w) = diag(w[cols[g]]) S_g, the commutator is
+    sum_{g,h} diag(x_g y_h[cols[g]] - y_g x_h[cols[g]]) S_g S_h: G^2 D entries,
+    in blocks of rows of D^2 / 4 (about one dense D x D array with products
+    and indices), scattered into those rows; the squared norms add up."""
+    def norm2(index, val):   # of the matrix with val summed at flat index
+        out = np.bincount((2 * index[..., None] + (0, 1)).reshape(-1),
+                          val.view(float).reshape(-1))
+        return float(out @ out)
+
+    prog = _transfer_program(L_builder, alg, n_sites)
+    maps, coeffs = _evaluate(prog, rep, _values(q_val, x), _values(q_val, y))
+    vx, vy = (maps.member @ (c[:, None] * maps.weight) for c in coeffs)
+    G, D = (cols := maps.cols).shape
+    rows, step, comm = D * np.arange(D), max(1, D * D // (4 * G * G)), 0.0
+    for r in range(0, D, step):
+        at, xr, yr = cols[:, r:r + step], vx[:, r:r + step], vy[:, r:r + step]
+        val = vy.take(at, axis=1) * xr - vx.take(at, axis=1) * yr
+        comm += norm2(cols.take(at, axis=1) + rows[:at.shape[1]], val)
+    return math.sqrt(comm / norm2(cols + rows, vx) / norm2(cols + rows, vy))
 
 
 def qdst_charge_fit(alg: Presentation, rep: dict[str, np.ndarray],

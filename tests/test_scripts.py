@@ -82,6 +82,18 @@ def test_dilog_grid_reaches_ten_decades(monkeypatch, capsys):
     assert "rbd3pp" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", [1e-9, float("nan")])
+def test_charge_tower_exits_1_when_a_value_exceeds_the_tolerance(
+        monkeypatch, capsys, value):
+    import qbax.cyclicrep
+
+    monkeypatch.setattr(qbax.cyclicrep, "transfer_commutator_num",
+                        lambda *args: value)
+    assert _run(monkeypatch, "charge_tower.py", SMALL_ARGS["charge_tower.py"]
+                ) == 1
+    assert "exceeds 1e-10" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sites", ["4", "3,1000"])
 def test_charge_tower_bounds_the_dimension_before_building(monkeypatch,
                                                            capsys, sites):
