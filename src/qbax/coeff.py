@@ -196,6 +196,18 @@ class Coefficient:
         small, big = (self, other) if len(self._num) <= len(other._num) else (other, self)
         sn, bn = small._num, big._num
         bound = small._bound + big._bound
+        if len(sn) == 1:
+            ((k1, v1),) = sn.items()
+            if not k1 and v1 == 1 and small._den == 1:
+                return big
+            if len(bn) == 1 and bound <= _EMAX:  # monomial times monomial
+                ((k2, v2),) = bn.items()
+                v, den = v1 * v2, small._den * big._den
+                if den != 1 and (g := gcd(v, den)) != 1:
+                    v, den = v // g, den // g
+                c = object.__new__(Coefficient)
+                c.vars, c._num, c._den, c._bound = self.vars, {k1 + k2: v}, den, bound
+                return c
         if bound > _EMAX:
             # a variable's extreme exponents in a product are the sums of its
             # factors' (the product of the extreme parts cannot vanish)
@@ -203,11 +215,6 @@ class Coefficient:
             _, bound = _pack(self.vars, tuple(max(a + b, c + d, key=abs)
                                               for a, b, c, d in zip(lo1, lo2, hi1, hi2)))
         if len(sn) == 1:
-            ((k1, v1),) = sn.items()
-            if not k1 and v1 == 1 and small._den == 1:
-                return big
-            if len(bn) == 1 and big.is_one():
-                return small
             # a monomial shifts exponents one-to-one: no two products collide
             return _new(self.vars, {k1 + k2: v1 * v2 for k2, v2 in bn.items()},
                         small._den * big._den, bound)

@@ -16,6 +16,10 @@ R_hat(lam) = lam R_plus - lam^-1 R_minus, and its diagonal-twist companion
 R_sym(lam) whose entries are differences w(x) = x - x^-1.  Each L-operator
 pairs with the normalization under which its exchange relation closes; the
 catalog's PAIRINGS lines record the pairings that hold.
+
+The periodic homogeneous chain is invariant under the cyclic site shift
+t -> t + 1 mod n: the trace is cyclic and letters on different sites commute.
+So [T(lam), T(mu)] is taken over one word per shift orbit (`cyclic_commutator`).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Sequence
 
 from .catalog import GLq2Ext, OPERATORS, PAIRINGS
 from .coeff import Coefficient
-from .ncpoly import NCPoly, OpMatrix, Presentation
+from .ncpoly import NCPoly, OpMatrix, Presentation, _SITE, _accumulate
 
 __all__ = [
     "OpMatrix",
@@ -61,6 +65,7 @@ __all__ = [
     "QDET_CONVENTIONS",
     "monodromy",
     "transfer",
+    "cyclic_commutator",
     "transfer_mode_commutators",
     "transfer_commutation_defect",
     "qdst_charges",
@@ -194,15 +199,43 @@ def transfer(L_builder, alg: Presentation, n_sites: int) -> NCPoly:
     return monodromy(L_builder, alg, n_sites).trace()
 
 
+def _shift(word, s: int, n: int):
+    """word with site t moved to (t + s) mod n, kept site-sorted (stably)."""
+    return tuple(sorted([((t + s) % n, g) for t, g in word], key=_SITE))
+
+
+def cyclic_commutator(p: NCPoly, q: NCPoly, n_sites: int) -> NCPoly:
+    """p q - q p for p, q invariant under the site shift t -> t + 1 mod
+    n_sites (else ValueError): per orbit size m, [r, q] for the sum r of p's
+    terms on one word per orbit, added with its shifts by 1, ..., m - 1."""
+    for x in (q, p):  # both are checked; the groups kept are p's
+        left, groups = dict(x.terms), {}
+        while left:
+            w, c = left.popitem()
+            m = 1
+            while (v := _shift(w, m, n_sites)) != w:
+                if left.pop(v, None) != c:
+                    raise ValueError(f"not invariant under the cyclic shift: {v} lacks {c}")
+                m += 1
+            groups.setdefault(m, {})[w] = c
+    out: dict = {}
+    for m, reps in groups.items():
+        for w, c in NCPoly(p.alg, reps, normalized=True).commutator(q).terms.items():
+            for s in range(m):
+                _accumulate(out, _shift(w, s, n_sites), c)
+    return NCPoly(p.alg, out, normalized=True)
+
+
 def transfer_mode_commutators(L_builder, alg: Presentation,
                               n_sites: int) -> dict[tuple[int, int], NCPoly]:
     """The nonzero [T_j, T_k], j < k, of the Laurent modes of the transfer
-    matrix T(lam) = sum_j lam^j T_j; each T_j has coefficients in q alone."""
+    matrix T(lam) = sum_j lam^j T_j; each T_j has coefficients in q alone
+    and is shift invariant like T, so [T_j, T_k] is a `cyclic_commutator`."""
     T = transfer(L_builder, alg, n_sites)
     modes = {j: T.coefficient_of("lam", j) for j in sorted(T.param_degrees("lam"))}
     out = {}
     for j, k in combinations(modes, 2):
-        c = modes[j].commutator(modes[k])
+        c = cyclic_commutator(modes[j], modes[k], n_sites)
         if not c.is_zero():
             out[(j, k)] = c
     return out
@@ -211,8 +244,8 @@ def transfer_mode_commutators(L_builder, alg: Presentation,
 def transfer_commutation_defect(L_builder, alg: Presentation, n_sites: int) -> NCPoly:
     """[T(lam), T(mu)] with both transfer matrices on the same sites.
 
-    It is sum_{j,k} lam^j mu^k [T_j, T_k]; the diagonal vanishes and
-    [T_k, T_j] = -[T_j, T_k], so only the pairs j < k are computed.
+    It is sum_{j,k} lam^j mu^k [T_j, T_k]; the diagonal vanishes and [T_k, T_j]
+    = -[T_j, T_k], so only pairs j < k are taken, one shift orbit at a time.
     """
     out = alg.zero()
     for (j, k), c in transfer_mode_commutators(L_builder, alg, n_sites).items():

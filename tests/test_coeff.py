@@ -385,3 +385,51 @@ def test_a_product_that_would_cross_the_limit_raises():
     gone = (big + Coefficient.param("lam")) - big
     assert gone * big == Coefficient.monomial(QLM, 1, q=20000, lam=1)
     assert ((big - big) * big).is_zero() and ((big - big) ** 2).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# monomial times monomial: the fast path against the general one
+# ---------------------------------------------------------------------------
+
+_BIG = Coefficient.param("q", 20000)
+
+
+def _general(c):
+    """c with an exponent bound of 20000, so that the product of two such
+    factors is taken by the general path (their bounds add past LIMIT)."""
+    return (c + _BIG) - _BIG
+
+
+@pytest.mark.parametrize("a, b", [
+    (q(2, scale=3), lam(-1, scale=-5)),
+    (q(scale=Fraction(2, 3)), q(-1, scale=Fraction(3, 4))),   # gcd: 1/2
+    (Coefficient.monomial(QLM, Fraction(-7, 6), q=1, mu=2),
+     Coefficient.monomial(QLM, Fraction(9, 14), lam=3)),       # gcd: -3/4
+    (q(scale=Fraction(1, 2)), Coefficient.rational(2)),        # back to an int
+    (Coefficient.one(), lam(-4, scale=Fraction(5, 3))),
+    (Coefficient.rational(-1), Coefficient.param("mu", LIMIT - 1)),
+])
+def test_monomial_products_match_the_general_path(a, b):
+    fast, general = a * b, _general(a) * _general(b)
+    (e1, v1), = a.terms.items()
+    (e2, v2), = b.terms.items()
+    want = Coefficient(QLM, {tuple(x + y for x, y in zip(e1, e2)): Fraction(v1) * v2})
+    for got in (fast, b * a):
+        assert got == general == want and hash(got) == hash(general)
+        assert str(got) == str(general) and got.terms == general.terms
+        assert [type(v) for v in got.terms.values()] == \
+            [type(v) for v in general.terms.values()]
+        assert _canonical(got)
+
+
+def test_monomial_fast_path_keeps_its_checks():
+    half = q(scale=Fraction(2, 3)) * q(-1, scale=Fraction(3, 4))
+    assert half.terms == {(0, 0, 0): Fraction(1, 2)} and half.constant_value() == Fraction(1, 2)
+    with pytest.raises(OverflowError, match=r"q\^40000"):
+        _BIG * _BIG
+    # a variable set of the same length packs the same keys: checked first
+    beta = Coefficient.monomial(("beta", "lam", "mu"), 2, beta=1)
+    with pytest.raises(ValueError, match="variable sets differ"):
+        q() * beta
+    with pytest.raises(ValueError, match="variable sets differ"):
+        beta * q()

@@ -17,6 +17,7 @@ from qbax.lmatrices import (
     R_hat,
     R_sym,
     aux_twist,
+    cyclic_commutator,
     embed,
     monodromy,
     perm_P,
@@ -203,3 +204,73 @@ def test_lowest_and_highest_modes_enter_the_commutator():
     modes = transfer_mode_commutators(L, Aq, 3)
     assert {j for pair in modes for j in pair} == {-3, -1, 1, 3}
     assert transfer_commutation_defect(L, Aq, 3) == _direct_commutator(L, Aq, 3)
+
+
+# ---------------------------------------------------------------------------
+# commutators taken one cyclic-shift orbit at a time
+# ---------------------------------------------------------------------------
+
+def _shifts(letters, n, coeff=1):
+    """coeff times the sum of the n cyclic shifts t -> t + s mod n of the
+    word of (site, generator) letters, so invariant under the shift; a word
+    whose orbit has m < n words is counted n / m times."""
+    out = Aq.zero()
+    for s in range(n):
+        word = Aq.one()
+        for site, name in letters:
+            word = word * Aq.gen(name, (site + s) % n)
+        out = out + word
+    return out * coeff
+
+
+def _sites(names):
+    """One generator per site, "." for an empty site and "K" for kinv:
+    "k.K." is k⊗1⊗kinv⊗1."""
+    return [(t, {"K": "kinv"}.get(g, g)) for t, g in enumerate(names) if g != "."]
+
+
+_q, _qi, _half = Aq.param("q"), Aq.param("q", -1), Fraction(1, 2)
+# n -> (summands of p, q); the comments give each summand's orbit size.
+# f e on one site rewrites, so a summand may hold several words per shift.
+ORBIT_CASES = {
+    4: ([_shifts(_sites("kkkk"), 4),                            # 1
+         _shifts(_sites("keke"), 4, _q),                        # 2
+         _shifts([(0, "f"), (0, "e"), (1, "kinv")], 4, _half)],  # 4
+        _shifts(_sites("e..."), 4) + _shifts(_sites("ffff"), 4, _qi)
+        + _shifts(_sites("k.K."), 4, 3)),
+    6: ([_shifts(_sites("ffffff"), 6),                          # 1
+         _shifts(_sites("k.k.k."), 6, _half),                   # 2
+         _shifts(_sites("e..e.."), 6, _q),                      # 3
+         _shifts(_sites("kf.kf."), 6, -2),                      # 3
+         _shifts(_sites("ekf..."), 6, _qi)],                    # 6
+        _shifts(_sites("e....."), 6) + _shifts(_sites("kkkkkk"), 6)
+        + _shifts(_sites("f.K..."), 6, _q)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(ORBIT_CASES))
+def test_orbit_commutator_matches_the_direct_product(n):
+    parts, q = ORBIT_CASES[n]
+    p = sum(parts, Aq.zero())
+    for part in (*parts, p):   # every orbit size on its own, then together
+        want = part * q - q * part
+        assert not want.is_zero()
+        assert cyclic_commutator(part, q, n) == want
+    assert cyclic_commutator(q, p, n) == q * p - p * q
+
+
+def test_a_non_invariant_operand_raises():
+    parts, q = ORBIT_CASES[4]
+    e_ring = _shifts(_sites("e..."), 4)
+    for bad in (e_ring + Aq.gen("e", 0),          # one shift carries 2, not 1
+                Aq.gen("e", 0),                    # the other shifts are absent
+                e_ring + Aq.gen("e", 4),           # a site past the last
+                _shifts(_sites("e..."), 3)):       # invariant on 3 sites only
+        with pytest.raises(ValueError, match="cyclic shift"):
+            cyclic_commutator(bad, q, 4)
+        with pytest.raises(ValueError, match="cyclic shift"):
+            cyclic_commutator(parts[0], bad, 4)
+
+
+def test_qdst_transfer_matrices_commute_at_six_sites():
+    assert transfer_commutation_defect(L_qdst, Aq, 6).is_zero()

@@ -7,9 +7,15 @@ import multiprocessing
 import os
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from qbax import registry
+from qbax.catalog import Aq, Wq
+from qbax.cyclicrep import (qosc_rep, rep_residuals, rll_residual_num,
+                            root_of_unity, spectral_points, weyl_rep)
+from qbax.lmatrices import L_weyl, R_hat, R_sym
+from qbax.qdilog import DilogParams, check_shift
 from qbax.registry import (
     Check,
     SkipCheck,
@@ -230,3 +236,35 @@ def test_pool_size_is_clamped(monkeypatch, jobs, cpus, expected):
     report = run_suite(pattern=pattern, seed=3, jobs=jobs)
     assert _InlinePool.sizes == [expected]
     assert report.to_json() == run_suite(pattern=pattern, seed=3).to_json()
+
+
+def test_numeric_negative_controls_fail_through_the_registrar():
+    # each control beside its sound twin, at the pinned tolerance of the
+    # registry check it mimics (rep-rll, rep-relations, qdilog-shift)
+    checks: list[Check] = []
+    numeric = registry._registrar(checks, None)
+    N = 5
+    q = root_of_unity(N)
+    x, y = spectral_points(11, 2)
+    sound = qosc_rep(N)
+    perturbed = {**sound, "f": np.diag([1.5] + [1.0] * (N - 1)) @ sound["f"]}
+
+    for tag, R in (("matched", R_sym), ("mismatched", R_hat)):
+        numeric(f"t-rll-{tag}", "exchange residual", 1e-10)(
+            lambda R=R: [(rll_residual_num(R, L_weyl, Wq, weyl_rep(N), x, y,
+                                           q), "L_weyl N=5")])
+    for tag, rep in (("sound", sound), ("perturbed", perturbed)):
+        numeric(f"t-relations-{tag}", "relations", 1e-12)(
+            lambda rep=rep: [(res, key) for key, res
+                             in rep_residuals(Aq, rep, q).items()])
+    for tag, p in (("default", DilogParams(0.5)),
+                   ("starved", DilogParams(0.5, steps=4))):
+        numeric(f"t-quadrature-{tag}", "shift relation", 1e-8)(
+            lambda p=p: [(check_shift(0.5, 1.0, p), "omega=0.5, x=1")])
+
+    results = [run_check(c) for c in checks]
+    assert [r.status for r in results] == ["pass", "fail"] * 3
+    mismatched, perturbed_rep, starved = results[1::2]
+    assert "e+01 at L_weyl N=5 over 1 " in mismatched.summary   # about 23.8
+    assert " at f.e over 9 " in perturbed_rep.summary
+    assert starved.summary.startswith("error: QuadratureError")
