@@ -43,10 +43,10 @@ def _grid(args: argparse.Namespace) -> None:
     print(f"{'omega':>6}  {'shift':>10}  {'unitarity':>10}  {'power':>10}")
     for omega in args.omegas:
         p = DilogParams(omega, steps=args.steps)
-        shift = max(check_shift(omega, x, p) for x in xs)
-        unit = max(check_unitarity(omega, x, p) for x in xs)
-        power = max(check_ssw(omega, w, t, p)
-                    for w in (0.4, 1.7) for t in (0.25, 0.75))
+        shift = check_shift(omega, xs, p).max()
+        unit = check_unitarity(omega, xs, p).max()
+        power = check_ssw(omega, [0.4, 0.4, 1.7, 1.7], [0.25, 0.75] * 2,
+                          p).max()
         print(f"{omega:>6.2f}  {shift:>10.2e}  {unit:>10.2e}  {power:>10.2e}")
 
     print("\nfunctional equations (worst over random lam, w draws):")
@@ -54,10 +54,10 @@ def _grid(args: argparse.Namespace) -> None:
         worst = 0.0
         for omega in args.omegas:
             p = DilogParams(omega, steps=args.steps)
-            for _ in range(10):
-                lam = 10.0 ** rng.uniform(-0.6, 0.6)
-                w = 10.0 ** rng.uniform(-1.0, 1.0)
-                worst = max(worst, check_feq(feq_id, omega, lam, w, p))
+            lam, w = np.array([(10.0 ** rng.uniform(-0.6, 0.6),
+                                10.0 ** rng.uniform(-1.0, 1.0))
+                               for _ in range(10)]).T
+            worst = max(worst, check_feq(feq_id, omega, lam, w, p).max())
         print(f"  {feq_id:8s} {worst:.2e}")
 
 

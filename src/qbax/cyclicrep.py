@@ -184,11 +184,11 @@ def _compile(alg: Presentation, polys: list[NCPoly], n_sites: int) -> _Program:
 
 
 def _evaluate(prog: _Program, rep: dict[str, np.ndarray],
-              *points: dict[str, complex]) -> tuple[_Maps, list[np.ndarray]]:
+              values: dict) -> tuple[_Maps, np.ndarray]:
     """`prog`'s words in `rep` as column maps, with a weight per row, and their
-    coefficients at each of `points`.  The maps of the last _CACHED_REPS reps
-    are kept, keyed by the content of the generator matrices used: an array
-    changed in place is a new rep, equal arrays in another dict the same."""
+    coefficients (*P, W) at the points P `values` broadcast to.  The maps of
+    the last _CACHED_REPS reps are kept, keyed by the content of the matrices
+    used: an array changed in place is a new rep, equal arrays the same."""
     shapes = sorted({np.shape(m) for m in rep.values()})
     if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
         raise ValueError("rep matrices must all be square and of one size, "
@@ -197,16 +197,19 @@ def _evaluate(prog: _Program, rep: dict[str, np.ndarray],
     if missing:
         raise KeyError(f"rep has no matrix for generator {missing[0]!r} "
                        f"of {prog.alg.name}")
-    coeffs, W = [], len(prog.letters)
-    for values in points:
-        missing = [v for v, _, _ in prog.powers if v not in values]
-        if missing:
-            raise KeyError(f"no numeric value for {missing}")
-        term = prog.term_val.copy()
-        for v, expo, index in prog.powers:
-            term *= np.array([values[v] ** int(e) for e in expo])[index]
-        coeffs.append(np.bincount(prog.term_word, term.real, W)
-                      + 1j * np.bincount(prog.term_word, term.imag, W))
+    missing = [v for v, _, _ in prog.powers if v not in values]
+    if missing:
+        raise KeyError(f"no numeric value for {missing}")
+    shape = np.broadcast(*values.values()).shape
+    term = prog.term_val * np.ones((*shape, 1))   # every point, from the start
+    for v, expo, index in prog.powers:   # each distinct power once
+        term = term * np.power.outer(np.asarray(values[v], dtype=complex),
+                                     expo).take(index, -1)
+    W, P = len(prog.letters), math.prod(shape)
+    at = prog.term_word if P == 1 else (
+        W * np.arange(P)[:, None] + prog.term_word).ravel()
+    coeffs = (np.bincount(at, term.real.ravel(), P * W)
+              + 1j * np.bincount(at, term.imag.ravel(), P * W))
     N = shapes[0][0]   # matrices N x N: N, dtypes and bytes fix them
     mats = [np.asarray(rep[g]) for g in prog.gens]
     key = (N, *[(m.dtype, m.tobytes()) for m in mats])
@@ -246,18 +249,22 @@ def _evaluate(prog: _Program, rep: dict[str, np.ndarray],
     prog.maps[key] = maps
     for old in list(prog.maps)[:-_CACHED_REPS]:
         prog.maps.pop(old, None)
-    return maps, coeffs
+    return maps, coeffs.reshape(*shape, W)
 
 
 def _contract(prog: _Program, rep: dict[str, np.ndarray],
-              values: dict[str, complex]) -> np.ndarray:
-    """The compiled entries on (C^N)^(tensor n_sites), shape (K, D, D): one
-    bincount of the words' weighted nonzeros into the result's float view."""
-    maps, (coeff,) = _evaluate(prog, rep, values)
+              values: dict) -> np.ndarray:
+    """The compiled entries on (C^N)^(tensor n_sites) at each point, shape
+    (*P, K, D, D): one bincount of the words' weighted nonzeros into the
+    result's float view."""
+    maps, coeff = _evaluate(prog, rep, values)
     (_, D), K = maps.weight.shape, len(prog.bounds) - 1
-    val = (coeff[:, None] * maps.weight).view(float).reshape(-1)
-    return np.bincount(maps.flat, val, 2 * K * D * D).view(complex).reshape(
-        K, D, D)
+    size, P = 2 * K * D * D, math.prod(coeff.shape[:-1])
+    val = (coeff[..., None] * maps.weight).view(float).reshape(-1)
+    at = maps.flat if P == 1 else (
+        size * np.arange(P)[:, None] + maps.flat).ravel()
+    out = np.bincount(at, val, P * size).view(complex)
+    return out.reshape(*coeff.shape[:-1], K, D, D)
 
 
 def numeric_poly(p: NCPoly, rep: dict[str, np.ndarray], n_sites: int,
@@ -324,17 +331,19 @@ def _rll_program(R_builder, L_builder, alg: Presentation) -> _Program:
 
 
 def rll_residual_num(R_builder, L_builder, alg: Presentation,
-                     rep: dict[str, np.ndarray], x: complex, y: complex,
-                     q_val: complex) -> float:
+                     rep: dict[str, np.ndarray], x, y, q_val: complex):
     """Frobenius norm of R12(x/y) L13(x) L23(y) - L23(y) L13(x) R12(x/y).
 
     Evaluates the exact exchange residual `rll_defect` over alg.free_copy()
     (built and compiled once per (R, L, alg)) at lam = x/y, mu = y: a
-    4N x 4N problem of two auxiliary legs and one quantum leg.
+    4N x 4N problem of two auxiliary legs and one quantum leg.  Arrays x
+    and y give an array of norms, one per point, from one evaluation.
     """
-    values = {"q": q_val, "lam": x / y, "mu": y}
-    return float(np.linalg.norm(
-        _contract(_rll_program(R_builder, L_builder, alg), rep, values)))
+    lam = np.divide(x, y)
+    out = _contract(_rll_program(R_builder, L_builder, alg), rep,
+                    {"q": q_val, "lam": lam, "mu": y}).view(float)
+    norm = np.sqrt((out * out).reshape(*lam.shape, -1).sum(-1))
+    return norm if norm.ndim else float(norm)
 
 
 @lru_cache(maxsize=32)
@@ -373,7 +382,7 @@ def transfer_commutator_num(L_builder, alg: Presentation,
         return float(out @ out)
 
     prog = _transfer_program(L_builder, alg, n_sites)
-    maps, coeffs = _evaluate(prog, rep, _values(q_val, x), _values(q_val, y))
+    maps, coeffs = _evaluate(prog, rep, _values(q_val, np.array([x, y])))
     vx, vy = (maps.member @ (c[:, None] * maps.weight) for c in coeffs)
     G, D = (cols := maps.cols).shape
     rows, step, comm = D * np.arange(D), max(1, D * D // (4 * G * G)), 0.0

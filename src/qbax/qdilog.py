@@ -19,17 +19,21 @@ push the phase past the principal branch while staying inside the decay
 strip |Im ell| < pi (1 + w^2).
 
 Numerically O is the line Im t = c half way up the strip 0 < Im t < cap
-= pi min(Re w, Re 1/w) below the poles above 0 (lower, with a finer step,
-for large Re ell).  There the trapezoid rule with step h = pi cap / steps
-errs like exp(-pi cap / h) (Trefethen and Weideman, SIAM Review 56, 2014).
+= pi min(Re w, Re 1/w) below the poles above 0.  There the trapezoid rule
+with step h = pi cap / steps errs like exp(-pi cap / h) (Trefethen and
+Weideman, SIAM Review 56, 2014) if |exp(u t)|, u = -i ell / (pi w), does
+not grow up the strip.  At Re(ell / w) > 0, where it would, S comes from
+S(e^-ell) and the inversion relation (Faddeev and Kashaev, 1994)
+
+    S(e^ell) S(e^-ell) = exp(i pi (w^2 + w^-2) / 12 + i ell^2 / (4 pi w^2)).
+
 The line is cut at +-L, one L per call from its slowest decay rate.  Every
 other node with doubled weights is the rule of step 2h, so each value is
 certified for free: the two sums must agree within tol relative to |S|,
-else QuadratureError names the worst argument.  The nodes are uniform, so
-on a J x M grid exp(u t) = exp(u a_j) exp(u b_m), row centre times offset,
-rows scaled by sigma = Re(w + 1/w) >= |Re u| to stay in range: a call
-costs J + M exp per argument and one GEMM against a cached M x 2J matrix
-of both rules' weights.
+else QuadratureError names the worst argument.  Rows of _M nodes anchored
+at t = i c factor exp(u t) = exp(u a_j) exp(u b_m), scaled by sigma =
+Re(w + 1/w) >= |Re u| to stay in range; a shorter line is the middle rows
+of a longer one, so one grid per w serves every L.
 
 The phrase "decay strip" above is the actual bound obtained from the
 integrand's asymptotics; it is *smaller* than the looser engineering
@@ -100,7 +104,7 @@ class DilogParams:
     omega must lie strictly inside (0, 1).  The trapezoid step is 2 pi d /
     steps on a strip of half-width d.  truncation=None picks the line's
     half-length L from the slowest decay rate among a call's arguments; a
-    fixed value is honoured as given.
+    fixed value is used instead (both rounded up to whole rows).
     """
 
     omega: float
@@ -133,12 +137,12 @@ class DilogParams:
 # compact product (|q| < 1)
 # --------------------------------------------------------------------------
 
-def s_compact(x: complex, q: complex, tol: float = 1e-14,
+def s_compact(x, q: complex, tol: float = 1e-14,
               max_terms: int = 100_000) -> complex:
     """prod_{n>=1} (1 + x q^(2n-1)), truncated by the geometric tail bound.
 
     The log of the tail past n is below |x| |q|^(2n+1) / (1 - |q|^2), so the
-    partial product is returned once that bound drops under tol.
+    partial product is returned once that bound drops under tol at every x.
     """
     aq = abs(q)
     if aq >= 1.0:
@@ -146,7 +150,7 @@ def s_compact(x: complex, q: complex, tol: float = 1e-14,
     out = 1.0 + 0.0j
     term = q  # q^(2n-1) at n = 1
     q2 = q * q
-    ax = abs(x)
+    ax = np.max(np.abs(x))
     for n in range(1, max_terms + 1):
         out *= 1.0 + x * term
         term *= q2
@@ -161,6 +165,8 @@ def s_compact(x: complex, q: complex, tol: float = 1e-14,
 
 _TAIL_LOG = 32.0  # exp(-32) ~ 1.3e-14: target tail mass at truncation
 _MAX_K = 2**19    # a rule of 2^20 nodes takes about 100 MB to build
+_M = 32           # nodes per row of a rule; column 1 of _FINE_COARSE picks
+_FINE_COARSE = np.c_[np.ones(_M), np.resize([2.0, 0.0], _M)] + 0j  # even t
 
 
 def fold_decay_rate(omega: complex, ell):
@@ -184,84 +190,92 @@ def _log_sinh(z: np.ndarray) -> np.ndarray:
             + np.where(flip, 1j * math.pi, 0.0))
 
 
-@lru_cache(maxsize=64)
-def _rule(omega: complex, height: float, steps: float, L: float, rise: int):
-    """The trapezoid rule on Im t = c, factored on a J x M grid (M even).
+# (omega, height, steps) -> [a, low, W] for the longest line yet
+_grid = lru_cache(maxsize=64)(lambda omega, height, steps: [np.zeros(0)] * 3)
 
-    At rise = 0, c = height * cap and h = 2 pi d / steps; the coarse rule
+
+@lru_cache(maxsize=256)
+def _rule(omega: complex, height: float, steps: float, L: float):
+    """Rows -J..J of the rule on Im t = c, J the fewest that reach |t| = L.
+
+    c = height * cap and h = 2 pi min(c, cap - c) / steps: the coarse rule
     errs like exp(-pi c / h) from the pole at 0 and exp(-pi (cap - c) / h)
-    from those at height cap.  If |exp(u t)| grows by exp(rise * cap) up
-    the strip, h and c shrink together to restore the second margin.
-    Returns row centres a (with the i c), offsets b, the M x 2J fine and
-    coarse weights, rows scaled by exp(sigma |Re a|), and sigma.
-    """
+    from those at height cap.  Row j holds t = (j _M + m - _M/2) h + i c, so
+    it is sliced from one grid per (omega, height, steps), rebuilt at least
+    doubled when a line outgrows it: its centre a_j, low_j = -sigma |Re a_j|
+    and its weights times exp(-low_j); then the offsets b."""
     cap = math.pi * min(omega.real, (1.0 / omega).real)
     c = height * cap
     h = 2.0 * math.pi * min(c, cap - c) / steps
-    shrink = 1.0 / (1.0 + rise * h / math.pi)
-    h, c = shrink * h, shrink * c
-    K = 2 * math.ceil(L / (2.0 * h))
-    if K > _MAX_K:
-        raise DilogDomainError(f"the rule would need {2 * K + 1} nodes: "
-                               "Re log x, steps or truncation is too large")
-    M = 2 * max(1, round(math.sqrt(2 * K + 1) / 2))
-    J = -(-(2 * K + 1) // M)
-    t = (np.arange(J * M) - K) * h + 1j * c
-    log_w = (math.log(h) - np.log(4.0 * t) - _log_sinh(omega * t)
-             - _log_sinh(t / omega))
-    log_w[2 * K + 1:] = -np.inf  # padding of the last row
-    b = (np.arange(M) - 0.5 * (M - 1)) * h
-    a = t[::M] - b[0]
-    sigma = (omega + 1.0 / omega).real
-    fine = np.exp(log_w.reshape(J, M) + sigma * np.abs(a.real)[:, None]).T
-    coarse = fine * np.resize([2.0, 0.0], M)[:, None]  # k - m is even
-    return a, b, np.hstack([fine, coarse]), sigma
+    J = math.ceil(L / (_M * h))
+    if J * _M > _MAX_K:
+        raise DilogDomainError(f"the rule would need {(2 * J + 1) * _M} "
+                               "nodes: steps or truncation is too large")
+    grid = _grid(omega, height, steps)
+    if len(grid[0]) < 2 * J + 1:
+        n = max(J, min(len(grid[0]) - 1, _MAX_K // _M))
+        t = (np.arange(-n * _M - _M // 2, (n + 1) * _M - _M // 2) * h
+             + 1j * c).reshape(2 * n + 1, _M)
+        log_w = (math.log(h) - np.log(4.0 * t) - _log_sinh(omega * t)
+                 - _log_sinh(t / omega))
+        a = t[:, _M // 2]
+        low = -(omega + 1.0 / omega).real * np.abs(a.real)
+        grid[:] = a, low, np.exp(log_w - low[:, None])
+    n = len(grid[0]) // 2
+    return (*(g[n - J:n + J + 1] for g in grid), (np.arange(_M) - _M // 2) * h)
 
 
 def _eval_log(ell, omega: complex, steps: float, tol: float,
-              truncation: float | None = None, height: float = 0.5):
+              truncation=None, height=0.5, invert=True):
     """S at each ell: a complex for a scalar, else an array of its shape.
 
-    The call shares one rule: the L its slowest-decaying member needs
-    (rounded up a quarter octave so rules are reused) unless `truncation`
-    fixes it, and the rise its largest -Im u needs.
-    """
+    All share the line the slowest-decaying one needs, unless `truncation`
+    fixes it.  With `invert`, an ell with Re(ell / omega) > 0 takes S(e^-ell)
+    and the inversion phase, refused once it rounds off by more than tol."""
     shape = np.shape(ell)
-    ells = np.asarray(ell, dtype=complex).ravel()
-    if ells.size == 0:
+    ells = np.ravel(ell).astype(complex).tolist() if shape else [complex(ell)]
+    if not ells:
         return np.zeros(shape, dtype=complex)
-    rate = fold_decay_rate(omega, ells)
-    i = int(np.argmin(rate))
-    if not rate[i] > 0.05:
+    us = [-1j * e / (math.pi * omega) for e in ells]
+    i = max(range(len(us)), key=lambda i: abs(us[i].real))
+    rate = fold_decay_rate(omega, ells[i])
+    if not rate > 0.05:
         raise DilogDomainError(
             f"Im(log x) = {ells[i].imag:.4f} is outside the decay strip "
             f"|Im log x| < pi (1 + omega^2) = {math.pi * (1 + omega**2):.4f} "
             "(or too close to its edge)")
-    L = (2.0 ** (math.ceil(4.0 * math.log2(_TAIL_LOG / rate[i])) / 4.0)
-         if truncation is None else float(truncation))
-    u = -1j * ells[:, None] / (math.pi * omega)
-    rise = max(0, math.ceil(-u.imag.min()))
-    a, b, W, sigma = _rule(omega, height, steps, L, rise)
-    rows = (np.exp(u * b) @ W).reshape(-1, 2, a.size)
-    log_s = np.einsum("nkj,nj->nk", rows,
-                      np.exp(u * a - sigma * np.abs(a.real)))
-    move = np.abs(np.expm1(log_s[:, 1] - log_s[:, 0]))
-    i = int(np.argmax(move))
+    a, low, W, b = _rule(omega, height, steps, _TAIL_LOG / rate
+                         if truncation is None else float(truncation))
+    flip = [i for i, u in enumerate(us) if invert and u.imag < 0]
+    u = np.array([-u if invert and u.imag < 0 else u for u in us])[:, None]
+    log_s, coarse = ((np.exp(u * a + low) @ W
+                      * np.exp(u * b)) @ _FINE_COARSE).T
+    move = np.abs(np.expm1(coarse - log_s))
+    i = move.argmax()
     if not move[i] <= tol:
         raise QuadratureError(
             f"node doubling moved S by {move[i]:.3e} relative (> {tol:.1e}) "
             f"at ell={ells[i]:.6g}, omega={omega:.6g}")
-    s = np.exp(log_s[:, 0])
+    for i in flip:   # the inversion relation
+        phase = (ells[i] ** 2 / (4.0 * math.pi * omega * omega)
+                 + math.pi * (omega**2 + omega**-2) / 12)
+        if abs(phase) * 2.0**-52 > tol:
+            raise DilogDomainError(
+                f"the inversion phase {phase:.3g} at ell={ells[i]:.6g} "
+                f"rounds off by more than {tol:.1e}")
+        log_s[i] = 1j * phase - log_s[i]
+    s = np.exp(log_s)
     return s.reshape(shape) if shape else complex(s[0])
 
 
-def s_omega_log(ell, p: DilogParams) -> complex | np.ndarray:
+def s_omega_log(ell, p: DilogParams, invert: bool = True):
     """S evaluated at x = exp(ell), taking the unwrapped logarithm directly.
 
     A scalar ell gives a complex; a sequence gives an array of its shape,
-    evaluated in one pass with one truncation and certified per value.
+    evaluated in one pass on one line and certified per value.  invert=False
+    keeps every ell on the line, which is accurate only for modest Re ell.
     """
-    return _eval_log(ell, p.omega, p.steps, p.tol, p.truncation)
+    return _eval_log(ell, p.omega, p.steps, p.tol, p.truncation, 0.5, invert)
 
 
 def s_omega(x: complex, p: DilogParams) -> complex:
@@ -279,30 +293,39 @@ def s_omega(x: complex, p: DilogParams) -> complex:
 # defect helpers
 # --------------------------------------------------------------------------
 
-def _rel(lhs: complex, rhs: complex) -> float:
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return float(abs(lhs - rhs) / scale)
+def _positive(x, name: str = "x") -> tuple[np.ndarray, np.ndarray]:
+    """x and log x for positive reals x, a scalar or an array of them."""
+    x = np.asarray(x, dtype=float)
+    if not x.min(initial=1.0) > 0:   # nan fails too
+        raise DilogDomainError(f"{name} must be positive")
+    return x, np.log(x)
+
+
+def _rel(lhs, rhs):
+    """|lhs - rhs| / max(|lhs|, |rhs|): a float for scalars, else an array."""
+    d = np.abs(lhs - rhs) / np.maximum(np.maximum(abs(lhs), abs(rhs)), 1e-300)
+    return d if np.ndim(d) else float(d)
 
 
 # --------------------------------------------------------------------------
-# basic property checks
+# basic property checks; an array argument gives an array of defects
 # --------------------------------------------------------------------------
 
-def check_shift(omega: float, x: float, p: DilogParams | None = None) -> float:
+def check_shift(omega: float, x, p: DilogParams | None = None):
     """Relative defect of S(q^-1 x) == (1 + x) S(q x) at real x > 0."""
     p = p or DilogParams(omega)
-    ell = math.log(x)
+    x, ell = _positive(x)
     lhs, rhs = s_omega_log([ell - p.log_q, ell + p.log_q], p)
     return _rel(lhs, (1.0 + x) * rhs)
 
 
-def check_unitarity(omega: float, x: float, p: DilogParams | None = None) -> float:
+def check_unitarity(omega: float, x, p: DilogParams | None = None):
     """| |S(x)| - 1 | for real x > 0."""
     p = p or DilogParams(omega)
-    return abs(abs(s_omega(x, p)) - 1.0)
+    return abs(abs(s_omega_log(_positive(x)[1], p)) - 1.0)
 
 
-def check_self_dual(omega: float, s: float, p: DilogParams | None = None) -> float:
+def check_self_dual(omega: float, s, p: DilogParams | None = None):
     """Self-duality S_w(x^w) == S_{1/w}(x^{1/w}) at x = exp(2 pi s).
 
     Both sides reduce to the same integrand, so to make this a real test of
@@ -310,6 +333,7 @@ def check_self_dual(omega: float, s: float, p: DilogParams | None = None) -> flo
     with different steps.
     """
     p = p or DilogParams(omega)
+    s = np.asarray(s, dtype=float)
     left = s_omega_log(2.0 * math.pi * omega * s, p)
     # 1/omega > 1 is outside DilogParams: call the core on another line
     right = _eval_log(2.0 * math.pi * s / omega, 1.0 / omega, 72, p.tol,
@@ -317,8 +341,7 @@ def check_self_dual(omega: float, s: float, p: DilogParams | None = None) -> flo
     return _rel(left, right)
 
 
-def check_product_consistency(omega: complex, x: float,
-                              tol: float = 1e-15) -> float:
+def check_product_consistency(omega: complex, x, tol: float = 1e-15):
     """Integral versus double-product form, at complex omega.
 
     For omega with a small positive imaginary part both |q| and |q_hat| drop
@@ -330,21 +353,19 @@ def check_product_consistency(omega: complex, x: float,
     om = complex(omega)
     if om.imag <= 0:
         raise DilogDomainError("needs Im(omega) > 0 so both products converge")
-    ell = math.log(x)
+    x, ell = _positive(x)
     integral = _eval_log(ell, om, DilogParams.steps, 1e-8)
     q = cmath.exp(1j * cmath.pi * om * om)
     q_hat = cmath.exp(-1j * cmath.pi / (om * om))
-    num = s_compact(x, q, tol)
-    den = s_compact(cmath.exp(ell / (om * om)), q_hat, tol)
-    return _rel(integral, num / den)
+    return _rel(integral, s_compact(x, q, tol)
+                / s_compact(np.exp(ell / (om * om)), q_hat, tol))
 
 
 # --------------------------------------------------------------------------
 # the power identity and the exchange-kernel functional equations
 # --------------------------------------------------------------------------
 
-def check_ssw(omega: float, w: float, t: float,
-              p: DilogParams | None = None) -> float:
+def check_ssw(omega: float, w, t, p: DilogParams | None = None):
     """Both displayed forms of the power identity; returns the worse defect.
 
     form 1:  w^t == S(q^-t w) S(q^t /w) / ( S(q^t w) S(q^-t /w) )
@@ -352,22 +373,23 @@ def check_ssw(omega: float, w: float, t: float,
     """
     p = p or DilogParams(omega)
     lq = p.log_q
-    ell = math.log(w)
-    wt = cmath.exp(t * ell)
-    # S(e) S(-e) at e = ell - t lq, ell + t lq, ell - 2t lq, ell
-    e = ell + np.array([-t, t, -2.0 * t, 0.0]) * lq
-    s = s_omega_log(np.concatenate([e, -e]), p)
+    w, ell = _positive(w, "w")
+    t = np.asarray(t, dtype=float)
+    # S(e) S(-e), each on the line: the inversion relation makes it exact
+    e = ell + np.multiply.outer([-1.0, 1.0, -2.0, 0.0], t) * lq
+    s = s_omega_log(np.concatenate([e, -e]), p, invert=False)
     pair = s[:4] * s[4:]
-    one = pair[0] / pair[1]
-    two = cmath.exp(t * t * lq) * pair[2] / pair[3]
-    return max(_rel(wt, one), _rel(wt, two))
+    wt = np.exp(t * ell)
+    one = _rel(wt, pair[0] / pair[1])
+    two = _rel(wt, np.exp(t * t * lq) * pair[2] / pair[3])
+    return np.maximum(one, two) if np.ndim(one) else max(one, two)
 
 
 FEQ_IDS = ("rw", "rw3", "rbd3pp")
 
 
-def check_feq(feq_id: str, omega: float, lam: float, w: float,
-              p: DilogParams | None = None) -> float:
+def check_feq(feq_id: str, omega: float, lam, w,
+              p: DilogParams | None = None):
     """Relative defect of one exchange-kernel functional equation.
 
     The kernels are built exactly as documented in the module docstring;
@@ -375,10 +397,8 @@ def check_feq(feq_id: str, omega: float, lam: float, w: float,
     as unwrapped logarithm shifts by +-2 log q.
     """
     p = p or DilogParams(omega)
-    if lam <= 0 or w <= 0:
-        raise DilogDomainError("lam and w must be positive")
+    (lam, ll), (w, lw) = _positive(lam, "lam"), _positive(w, "w")
     q, lq = p.q, p.log_q
-    ll = math.log(lam)
     s = ll / lq  # q^s = lam
     # kernel K(e) = S(e - k ll) / S(e + k ll) * exp(-c s e), compared at
     # e = log w and at log w + shift
@@ -394,14 +414,13 @@ def check_feq(feq_id: str, omega: float, lam: float, w: float,
     else:
         raise ValueError(f"unknown functional equation id {feq_id!r}; "
                          f"known: {FEQ_IDS}")
-    e = math.log(w) + np.array([0.0, shift])
+    e = np.array([lw, lw + shift])
     sv = s_omega_log(np.concatenate([e - k * ll, e + k * ll]), p)
     kernel = sv[:2] / sv[2:] * np.exp(-c * s * e)
     return _rel(kernel[0] * left, right * kernel[1])
 
 
-def kernel_ratio_rv5_rv3(omega: float, lam: float, w: float,
-                         p: DilogParams | None = None) -> complex:
+def kernel_ratio_rv5_rv3(omega: float, lam, w, p: DilogParams | None = None):
     """Ratio of the two exchange kernels solving the same equation.
 
     R5(w, lam) = S(w) S(1/w) / ( S(lam w) S(lam / w) ) and the primary
@@ -410,10 +429,9 @@ def kernel_ratio_rv5_rv3(omega: float, lam: float, w: float,
     power identity it equals exp(i log^2 lam / (4 pi omega^2)).
     """
     p = p or DilogParams(omega)
-    ell = math.log(w)
-    ll = math.log(lam)
+    ll, ell = _positive(lam, "lam")[1], _positive(w, "w")[1]
     s = ll / p.log_q
-    a, b, c, d, e = s_omega_log([ell - ll, ell + ll, ell, -ell, -ell + ll], p)
-    r0 = a / b * cmath.exp(-0.5 * s * ell)
-    r5 = c * d / (b * e)
-    return r0 / r5
+    a, b, c, d, e = s_omega_log(np.broadcast_arrays(   # as in check_ssw
+        ell - ll, ell + ll, ell + 0 * ll, -ell + 0 * ll, ll - ell), p, False)
+    ratio = a / b * np.exp(-0.5 * s * ell) / (c * d / (b * e))   # R0 / R5
+    return ratio if np.ndim(ratio) else complex(ratio)

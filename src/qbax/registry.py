@@ -237,42 +237,40 @@ def _registrar(checks: list[Check], tol: float | None):
 def _qdilog_checks(seed: int, tol: float | None) -> list[Check]:
     checks: list[Check] = []
     numeric = _registrar(checks, tol)
-    params = {om: DilogParams(om) for om in OMEGAS}
 
-    def grid_check(check_id: str, claim: str, point_fn):
-        numeric(check_id, claim, 1e-8)(lambda: [
-            (point_fn(om, x, params[om]), f"omega={om:g}, x={x:g}")
-            for om in OMEGAS for x in X_GRID])
+    # each check makes one call per omega, over all of its points
+    def grid_check(check_id: str, claim: str, pinned: float, name: str,
+                   values: tuple, check_fn, omegas=OMEGAS):
+        numeric(check_id, claim, pinned)(lambda: [
+            (defect, f"omega={om:g}, {name}={v:g}") for om in omegas
+            for v, defect in zip(values, check_fn(om, values))])
 
     grid_check(
         "qdilog-shift",
         "S(x/q) = (1 + x) S(q x) on a log grid of positive x for "
-        "omega in {0.3, 0.5, 0.7, 0.9}",
-        check_shift)
+        "omega in {0.3, 0.5, 0.7, 0.9}", 1e-8, "x", X_GRID, check_shift)
     grid_check(
         "qdilog-unitarity",
-        "|S(x)| = 1 for positive real x on the same omega/x grid",
-        check_unitarity)
+        "|S(x)| = 1 for positive real x on the same omega/x grid", 1e-8,
+        "x", X_GRID, check_unitarity)
 
-    def sampled_check(check_id: str, claim: str, sample_fn):
-        def pairs():
+    def sampled_check(check_id: str, claim: str, names, draw, check_fn):
+        def pairs():   # 25 draws per omega, in the rng's order
             rng = _rng(seed, check_id)
             for om in OMEGAS:
-                for _ in range(25):
-                    defect, label = sample_fn(om, params[om], rng)
-                    yield defect, f"omega={om:g}, {label}"
+                args = [draw(rng) for _ in range(25)]
+                defects = check_fn(om, *np.array(args).T)
+                for defect, arg in zip(defects, args):
+                    yield defect, f"omega={om:g}, " + ", ".join(
+                        f"{name}={v:.4g}" for name, v in zip(names, arg))
         numeric(check_id, claim, 1e-8)(pairs)
-
-    def ssw_sample(om, p, rng):
-        w = 10.0 ** rng.uniform(-1.0, 1.0)
-        t = rng.uniform(0.05, 0.95)
-        return check_ssw(om, w, t, p), f"w={w:.4g}, t={t:.4g}"
 
     sampled_check(
         "qdilog-power-identity",
         "w^t equals the four-factor S ratio in both displayed forms "
-        "(100 seeded samples)",
-        ssw_sample)
+        "(100 seeded samples)", ("w", "t"),
+        lambda rng: (10.0 ** rng.uniform(-1.0, 1.0), rng.uniform(0.05, 0.95)),
+        check_ssw)
 
     feq_claims = {
         "rw": "R0(w) (lam + w/q) = (1 + lam w/q) R0(w/q^2) for the "
@@ -283,11 +281,11 @@ def _qdilog_checks(seed: int, tol: float | None) -> list[Check]:
                   "the boundary kernel (100 seeded samples)",
     }
     for feq_id in FEQ_IDS:
-        def feq_sample(om, p, rng, _id=feq_id):
-            lam = 10.0 ** rng.uniform(-0.6, 0.6)
-            w = 10.0 ** rng.uniform(-1.0, 1.0)
-            return check_feq(_id, om, lam, w, p), f"lam={lam:.4g}, w={w:.4g}"
-        sampled_check(f"qdilog-feq-{feq_id}", feq_claims[feq_id], feq_sample)
+        sampled_check(
+            f"qdilog-feq-{feq_id}", feq_claims[feq_id], ("lam", "w"),
+            lambda rng: (10.0 ** rng.uniform(-0.6, 0.6),
+                         10.0 ** rng.uniform(-1.0, 1.0)),
+            lambda om, lam, w, _id=feq_id: check_feq(_id, om, lam, w))
 
     @numeric(
         "qdilog-kernel-ratio",
@@ -295,9 +293,9 @@ def _qdilog_checks(seed: int, tol: float | None) -> list[Check]:
         "w-independent factor exp(i log^2(lam) / (4 pi omega^2))", 1e-7)
     def _():
         for om in OMEGAS:
-            for lam in (0.45, 2.2):
-                ratios = [kernel_ratio_rv5_rv3(om, lam, w, params[om])
-                          for w in (0.2, 0.6, 1.0, 1.9, 5.5)]
+            table = kernel_ratio_rv5_rv3(om, [[0.45], [2.2]],
+                                         [0.2, 0.6, 1.0, 1.9, 5.5])
+            for lam, ratios in zip((0.45, 2.2), table.tolist()):
                 closed = cmath.exp(1j * math.log(lam) ** 2
                                    / (4.0 * math.pi * om * om))
                 mean = sum(ratios) / len(ratios)
@@ -306,21 +304,16 @@ def _qdilog_checks(seed: int, tol: float | None) -> list[Check]:
                        label + " (spread)")
                 yield abs(mean - closed) / abs(closed), label + " (closed form)"
 
-    @numeric(
+    grid_check(
         "qdilog-self-dual",
         "S_omega(x^omega) = S_(1/omega)(x^(1/omega)) across independently "
-        "chosen contour configurations", 1e-8)
-    def _():
-        return [(check_self_dual(om, s, params[om]), f"omega={om:g}, s={s:g}")
-                for om in OMEGAS for s in (-0.2, 0.1, 0.3)]
-
-    @numeric(
+        "chosen contour configurations", 1e-8, "s", (-0.2, 0.1, 0.3),
+        check_self_dual)
+    grid_check(
         "qdilog-product-form",
         "the contour integral matches the ratio of two compact products at "
-        "complex omega where both converge", 1e-13)
-    def _():
-        return [(check_product_consistency(om, x), f"omega={om:g}, x={x:g}")
-                for om in (0.6 + 0.15j, 0.45 + 0.2j) for x in (0.3, 1.7)]
+        "complex omega where both converge", 1e-13, "x", (0.3, 1.7),
+        check_product_consistency, (0.6 + 0.15j, 0.45 + 0.2j))
 
     @numeric(
         "qdilog-fixed-point",
@@ -328,7 +321,7 @@ def _qdilog_checks(seed: int, tol: float | None) -> list[Check]:
     def _():
         for om in OMEGAS:
             expected = cmath.exp(1j * math.pi * (om * om + om ** -2) / 24.0)
-            got = s_omega(1.0, params[om])
+            got = s_omega(1.0, DilogParams(om))
             yield abs(got - expected) / abs(expected), f"omega={om:g}"
 
     return checks
@@ -366,11 +359,10 @@ def _rep_checks(seed: int, tol: float | None, max_sites: int) -> list[Check]:
             pts = spectral_points(_rng(seed, "rep-rll").integers(2**31)
                                   + N, 20)
             for name, R_builder, L_builder, alg in PAIRINGS:
-                for i in range(0, 20, 2):
-                    res = rll_residual_num(R_builder, L_builder, alg,
-                                           reps[alg.name], pts[i], pts[i + 1],
-                                           q)
-                    yield res, f"{name} N={N} pair {i // 2}"
+                res = rll_residual_num(R_builder, L_builder, alg,
+                                       reps[alg.name], pts[::2], pts[1::2], q)
+                for i, r in enumerate(res):
+                    yield r, f"{name} N={N} pair {i}"
 
     @numeric(
         "rep-transfer-commute",

@@ -512,6 +512,45 @@ def test_rll_residual_matches_the_block_assembly(N):
         assert rll_residual_num(R, L, alg, rep, x, y, q) < 1e-10, name
 
 
+@pytest.mark.parametrize("N", [3, 7])
+def test_rll_residual_on_arrays_matches_per_point_calls(N):
+    # both kernels for every pairing: the wrong one gives O(1) residuals, so
+    # the comparison is not between rounding errors
+    q = root_of_unity(N)
+    pts = spectral_points(90 + N, 12)
+    x, y = pts[::2], pts[1::2]
+    for name, R, L, alg in PAIRINGS:
+        rep = _REP_FACTORIES[alg.name](N)
+        for kernel in (R, R_sym, R_hat):
+            batch = rll_residual_num(kernel, L, alg, rep, x, y, q)
+            assert isinstance(batch, np.ndarray) and batch.shape == (6,)
+            for i in range(6):
+                single = rll_residual_num(kernel, L, alg, rep, x[i], y[i], q)
+                assert type(single) is float
+                assert abs(single - batch[i]) <= 1e-12 * max(1.0, single), name
+    grid = rll_residual_num(R_hat, L_weyl, Wq, weyl_rep(N), x[:, None], y, q)
+    assert grid.shape == (6, 6) and np.allclose(np.diag(grid), rll_residual_num(
+        R_hat, L_weyl, Wq, weyl_rep(N), x, y, q), rtol=1e-12)
+
+
+def test_coefficients_at_many_points_match_one_point_at_a_time():
+    # q is shared by every point and its powers are taken once; lam and mu
+    # vary per point
+    prog = _rll_program(R_hat, L_ext_hat, GLq2Ext)
+    rep = glq2ext_rep(5)
+    q = root_of_unity(5)
+    lam, mu = spectral_points(5, 4), spectral_points(6, 4)
+    _, batch = _evaluate(prog, rep, {"q": q, "lam": lam, "mu": mu})
+    assert batch.shape == (4, len(prog.letters))
+    for i in range(4):
+        _, one = _evaluate(prog, rep, {"q": q, "lam": lam[i], "mu": mu[i]})
+        assert one.shape == (len(prog.letters),)
+        assert np.allclose(one, batch[i], rtol=1e-13, atol=1e-13)
+        want = _contract(prog, rep, {"q": q, "lam": lam[i], "mu": mu[i]})
+        got = _contract(prog, rep, {"q": q, "lam": lam, "mu": mu})[i]
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
 def test_rll_residual_of_a_mismatched_pairing_is_large():
     # negative control: L_weyl closes with R_sym, not with R_hat
     N = 5
@@ -584,7 +623,8 @@ def test_transfer_commutator_matches_dense_products_where_it_is_large(case,
         rep = qosc_rep(N)
     else:
         rep = _random_monomial_rep(alg, N, seed=N * 10 + n)
-        maps, _ = _evaluate(_transfer_program(L, alg, n), rep)
+        maps, _ = _evaluate(_transfer_program(L, alg, n), rep,
+                            {"q": 1.0, "lam": 1.0})
         cols = maps.cols
         share = (cols[:, None] == cols[None]).any(axis=-1)
         assert share[~np.eye(len(cols), dtype=bool)].any()

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qbax import qdilog
 from qbax.qdilog import (
     DilogDomainError,
     DilogParams,
@@ -107,13 +108,17 @@ def test_domain_rejections():
 
 
 def test_rule_size_is_bounded():
-    # a large Re log x shortens the step; a huge one must be refused before
-    # the nodes are allocated
-    for ell, p in ((1e7, DilogParams(0.5)),
-                   (0.3, DilogParams(0.5, truncation=1e9)),
+    # a huge line or step count must be refused before the nodes are
+    # allocated
+    for ell, p in ((0.3, DilogParams(0.5, truncation=1e9)),
                    (0.3, DilogParams(0.5, steps=1e9))):
         with pytest.raises(DilogDomainError, match="nodes"):
             s_omega_log(ell, p)
+    # Re log x = 1e7 needs no more nodes than 1e-7 does, through the
+    # inversion relation, but its phase ell^2 / (4 pi omega^2) ~ 3e13 rad
+    # has no significant digit left
+    with pytest.raises(DilogDomainError, match="inversion phase"):
+        s_omega_log(1e7, DilogParams(0.5))
 
 
 def test_quadrature_certificate_triggers_on_node_starvation():
@@ -138,6 +143,40 @@ def test_array_call_matches_scalar_calls():
         assert type(single) is complex
         assert abs(single - value) < 1e-12
     assert s_omega_log([], p).shape == (0,)
+
+
+def test_values_do_not_depend_on_call_history():
+    # rows are sliced from one grid per omega, which a longer line rebuilds:
+    # the same call must give the same bits before and after
+    om = 0.37   # an omega no other test uses, so its grid starts here
+    p = DilogParams(om)
+    ells = [0.4, -1.3 + 0.2j, 2.0, -0.6]
+    first, first_one = s_omega_log(ells, p), s_omega_log(0.4, p)
+    rows = len(qdilog._grid(om, 0.5, p.steps)[0])
+    edge = 0.2 + 3.5j   # decay rate 0.06: a line about 45 times longer
+    assert 0.05 < fold_decay_rate(om, edge) < 0.07
+    s_omega_log([edge, 0.3], p)
+    assert len(qdilog._grid(om, 0.5, p.steps)[0]) > 10 * rows
+    assert np.array_equal(s_omega_log(ells, p), first)
+    assert s_omega_log(0.4, p) == first_one
+
+
+@pytest.mark.parametrize("omega", [0.6 + 0.15j, 0.45 + 0.2j])
+def test_inversion_relation_at_complex_omega(omega):
+    # at Re(ell / omega) > 0, S(e^ell) comes from S(e^-ell) through the
+    # inversion relation; the double product form is an independent value
+    x = np.array([1.7, 3.0, 8.0, 20.0])
+    assert (np.log(x) / omega).real.min() > 0
+    assert check_product_consistency(omega, x).max() < 1e-14
+
+
+def test_large_positive_log_x_is_certified():
+    # the direct line lost its certificate from ell ~ 52 at omega = 0.5;
+    # through the inversion relation the shift equation holds out to
+    # ell = 115, where the phase ell^2 / (4 pi omega^2) is 4200 rad
+    x = np.exp([52.0, 80.0, 115.0])
+    assert check_shift(0.5, x).max() < 1e-11
+    assert check_unitarity(0.5, x).max() < 1e-14
 
 
 def _batch_matches_denser_rule(om, edge):
@@ -178,13 +217,24 @@ def test_domain_edge_batch_stays_finite():
 #       def f(s):
 #           t = s + 1j * c
 #           return mp.exp(u * t) / (4 * t * mp.sinh(w * t) * mp.sinh(t / w))
-#       return mp.exp(mp.quad(f, [-mp.inf, -1, 0, 1, mp.inf]))
+#       m = max(1, math.ceil(abs(ell)))   # the integrand oscillates
+#       cuts = [k / 2 for k in range(-2 * m, 2 * m + 1)]
+#       return mp.exp(mp.quad(f, [-mp.inf, *cuts, mp.inf]))
 #   for om in (0.3, 0.5, 0.7, 0.9):
 #       lq = 1j * math.pi * om * om
 #       for ell in (0.5, -1.2 + lq, 2.0 - 2 * lq, -0.7 + 1.1j):
 #           print((om, complex(ell), complex(S(om, ell))))
+#   for om, ell in ((0.3, 10), (0.7, 10), (0.3, 20), (0.5, 20), (0.7, 20),
+#                   (0.9, 20), (0.5, 40), (0.9, 40), (0.5, 20 + 1.1j)):
+#       print((om, complex(ell), complex(S(om, ell))))
 #
-# Moving c to 0.3 of that distance changes no value by more than 3e-18.
+# Moving c to 0.3 of that distance changes no value of the first 16 by more
+# than 3e-18, and the breakpoints every 0.5 change none of them by more
+# than 1e-17.  Without them, the cuts at -1, 0, 1 alone, mp.quad misses the
+# oscillation at large |ell|: off by 1.5e-3 at (0.5, 40), 3.2e-15 at (0.5,
+# 20).  The large-ell values hold S(e^ell) S(e^-ell) = exp(i pi (w^2 +
+# w^-2) / 12 + i ell^2 / (4 pi w^2)) at 30 digits to 1e-25, each side from
+# its own quadrature.
 REFERENCE = [
     (0.3, 0.5 + 0j, -0.5898337975739305 + 0.8075246691213314j),
     (0.3, -1.2 + 0.2827433388230814j, 0.7750662395240207 + 0.4096304527853259j),
@@ -202,6 +252,16 @@ REFERENCE = [
     (0.9, -1.2 + 2.5446900494077327j, 0.8753651505813449 - 0.04754615280668933j),
     (0.9, 2 - 5.089380098815465j, -0.13881987296475523 - 6.5845417116693294j),
     (0.9, -0.7 + 1.1j, 0.8779679579854663 + 0.10629908050135374j),
+    # Re ell > 0, evaluated through the inversion relation
+    (0.3, 10 + 0j, -0.9699944021896605 - 0.24312725005791366j),
+    (0.7, 10 + 0j, -0.36712455532079397 - 0.9301717910582482j),
+    (0.3, 20 + 0j, 0.039319022585314355 - 0.9992267082413958j),
+    (0.5, 20 + 0j, -0.9327977652415395 + 0.3604002346841492j),
+    (0.7, 20 + 0j, -0.9394829746328887 + 0.34259559304658194j),
+    (0.9, 20 + 0j, -0.5336200826627278 + 0.8457243093225023j),
+    (0.5, 40 + 0j, 0.10017262380804998 + 0.9949700726350571j),
+    (0.9, 40 + 0j, 0.7986780122139066 + 0.6017586167277067j),
+    (0.5, 20 + 1.1j, -6.028260313530872e-07 + 5.659434716881703e-07j),
 ]
 
 
@@ -251,3 +311,50 @@ def test_kernel_ratio_matches_closed_form():
     for w in (0.5, 1.1, 2.7):
         assert kernel_ratio_rv5_rv3(om, lam, w, p) == pytest.approx(
             closed, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# batched checks: an array in, an array out, one S call per check
+# ---------------------------------------------------------------------------
+
+def test_checks_on_arrays_match_per_point_calls():
+    # a starved rule (8 steps, certificate off) so the defects are 1e-4 to
+    # 1e-3 rather than rounding noise
+    om, p = 0.55, DilogParams(0.55, steps=8, tol=1e3)
+    x = np.array([0.05, 0.7, 1.0, 3.3, 40.0])
+    y = np.array([0.9, 0.3, 1.2, 2.0, 0.15])   # lam, or t in (0, 1)
+    cases = [(check_shift, (x,)), (check_unitarity, (x,)),
+             (check_self_dual, (y - 0.6,)), (check_ssw, (x, y)),
+             *[(lambda om, lam, w, p, f=f: check_feq(f, om, lam, w, p),
+                (y, x)) for f in FEQ_IDS]]
+    for fn, args in cases:
+        batch = fn(om, *args, p)
+        assert isinstance(batch, np.ndarray) and batch.shape == (5,)
+        for i in range(5):
+            single = fn(om, *(a[i] for a in args), p)
+            assert type(single) is float
+            assert abs(single - batch[i]) <= 1e-12 * max(1.0, batch[i])
+    assert check_shift(om, x, p).max() > 1e-4   # not rounding noise
+    # the power identity and the kernel ratio take every S on the line, so
+    # the starved rule shows in each of them; through the inversion relation
+    # both would hold to rounding whatever the rule
+    assert check_ssw(om, x, y, p).min() > 1e-5
+    closed = cmath.exp(1j * math.log(1.9) ** 2 / (4 * math.pi * om * om))
+    assert (abs(kernel_ratio_rv5_rv3(om, 1.9, x, p) / closed - 1) > 1e-5).all()
+    table = kernel_ratio_rv5_rv3(om, y[:, None], x, p)
+    assert table.shape == (5, 5)
+    single = kernel_ratio_rv5_rv3(om, y[1], x[3], p)
+    assert type(single) is complex and abs(single - table[1, 3]) < 1e-12
+    z = np.array([0.3, 1.7, 5.0])
+    batch = check_product_consistency(0.6 + 0.15j, z)
+    for zi, d in zip(z, batch):
+        assert abs(check_product_consistency(0.6 + 0.15j, zi) - d) < 1e-12
+
+
+def test_checks_refuse_non_positive_arguments():
+    p = DilogParams(0.5)
+    for bad in ([1.0, 0.0], [2.0, -1.0], [float("nan")]):
+        with pytest.raises(DilogDomainError, match="positive"):
+            check_shift(0.5, bad, p)
+        with pytest.raises(DilogDomainError, match="positive"):
+            check_feq("rw", 0.5, bad, 1.0, p)

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 from collections import Counter
 
 import numpy as np
@@ -15,7 +16,7 @@ from qbax.catalog import Aq, Wq
 from qbax.cyclicrep import (qosc_rep, rep_residuals, rll_residual_num,
                             root_of_unity, spectral_points, weyl_rep)
 from qbax.lmatrices import L_weyl, R_hat, R_sym
-from qbax.qdilog import DilogParams, check_shift
+from qbax.qdilog import FEQ_IDS, DilogParams, check_shift
 from qbax.registry import (
     Check,
     SkipCheck,
@@ -115,8 +116,10 @@ def test_tol_override_reaches_the_summaries():
 def test_a_non_finite_defect_fails_a_numeric_check(monkeypatch, bad):
     real = registry.check_unitarity
 
-    def one_bad_point(om, x, p):
-        return bad if (om, x) == (0.5, 1.0) else real(om, x, p)
+    def one_bad_point(om, x):   # x is the whole grid: one call per omega
+        out = real(om, x)
+        out[np.equal(x, 1.0) & (om == 0.5)] = bad
+        return out
 
     monkeypatch.setattr(registry, "check_unitarity", one_bad_point)
     report = run_suite(pattern="qdilog-unitarity")
@@ -125,6 +128,69 @@ def test_a_non_finite_defect_fails_a_numeric_check(monkeypatch, bad):
     assert res.summary == (f"max defect {bad:.3e} at omega=0.5, x=1 over 36 "
                            "evaluations (tol 1e-08)")
     assert not report.ok
+
+
+# The summaries of the batched numeric checks at seed 0: the evaluation
+# count of each, and the form of every label it can name, as they were when
+# each point was its own call.
+_X = "x=(0.01|0.0316228|0.1|0.316228|1|3.16228|10|31.6228|100)"
+_OM = "omega=0.[3579]"
+BATCHED_SUMMARIES = {
+    "qdilog-shift": (36, f"{_OM}, {_X}"),
+    "qdilog-unitarity": (36, f"{_OM}, {_X}"),
+    "qdilog-power-identity": (100, rf"{_OM}, w=[\d.]+, t=[\d.]+"),
+    "qdilog-feq-rw": (100, rf"{_OM}, lam=[\d.]+, w=[\d.]+"),
+    "qdilog-feq-rw3": (100, rf"{_OM}, lam=[\d.]+, w=[\d.]+"),
+    "qdilog-feq-rbd3pp": (100, rf"{_OM}, lam=[\d.]+, w=[\d.]+"),
+    "qdilog-kernel-ratio": (
+        16, rf"{_OM}, lam=(0.45|2.2) \((spread|closed form)\)"),
+    "qdilog-self-dual": (12, rf"{_OM}, s=(-0.2|0.1|0.3)"),
+    "qdilog-product-form": (4, r"omega=(0.6\+0.15j|0.45\+0.2j), x=(0.3|1.7)"),
+    "qdilog-fixed-point": (4, _OM),
+    "rep-rll": (330, r"[\w-]+ N=[357] pair \d"),
+}
+
+
+def test_batched_checks_keep_their_labels_and_counts():
+    report = run_suite(pattern=",".join(BATCHED_SUMMARIES))
+    assert [r.check_id for r in report.results] == list(BATCHED_SUMMARIES)
+    for r in report.results:
+        count, label = BATCHED_SUMMARIES[r.check_id]
+        assert r.status == "pass"
+        assert re.fullmatch(rf"max defect \S+ at {label} over {count} "
+                            r"evaluations \(tol [\de.-]+\)", r.summary), r
+
+
+def test_sampled_checks_draw_the_same_points_in_the_same_order(monkeypatch):
+    # each point used to be drawn and checked on its own: w then t per
+    # power-identity sample, lam then w per kernel sample, 25 per omega
+    calls = []
+
+    def spy(real):
+        def fn(*args):
+            calls.append(args)
+            return real(*args)
+        return fn
+
+    monkeypatch.setattr(registry, "check_ssw", spy(registry.check_ssw))
+    monkeypatch.setattr(registry, "check_feq", spy(registry.check_feq))
+    run_suite(pattern="qdilog-power-identity,qdilog-feq-*", seed=3)
+    expected = []
+    for check_id, lo in (("qdilog-power-identity", None),
+                         *[(f"qdilog-feq-{f}", f) for f in FEQ_IDS]):
+        rng = registry._rng(3, check_id)
+        for om in registry.OMEGAS:
+            if lo is None:
+                draws = [(10.0 ** rng.uniform(-1.0, 1.0),
+                          rng.uniform(0.05, 0.95)) for _ in range(25)]
+                expected.append((om, *map(list, zip(*draws))))
+            else:
+                draws = [(10.0 ** rng.uniform(-0.6, 0.6),
+                          10.0 ** rng.uniform(-1.0, 1.0)) for _ in range(25)]
+                expected.append((lo, om, *map(list, zip(*draws))))
+    got = [tuple(a.tolist() if isinstance(a, np.ndarray) else a for a in c)
+           for c in calls]
+    assert got == expected
 
 
 def test_text_report_shape():

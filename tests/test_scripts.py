@@ -82,6 +82,14 @@ def test_dilog_grid_reaches_ten_decades(monkeypatch, capsys):
     assert "rbd3pp" in capsys.readouterr().out
 
 
+def test_dilog_grid_certifies_fifty_decades(monkeypatch, capsys):
+    # ell up to 115: the direct line stopped certifying at ell = 57.6 (at
+    # omega = 0.5), the inversion relation reaches it from ell = -115
+    args = ["--omegas", "0.5", "--x-decades", "50"]
+    assert _run(monkeypatch, "dilog_defect_grid.py", args) in (0, None)
+    assert "rbd3pp" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("value", [1e-9, float("nan")])
 def test_charge_tower_exits_1_when_a_value_exceeds_the_tolerance(
         monkeypatch, capsys, value):
