@@ -20,10 +20,16 @@ catalog's PAIRINGS lines record the pairings that hold.
 The periodic homogeneous chain is invariant under the cyclic site shift
 t -> t + 1 mod n: the trace is cyclic and letters on different sites commute.
 So [T(lam), T(mu)] is taken over one word per shift orbit (`cyclic_commutator`).
+
+Each exchange residual is built once per process, over the free copy, in a
+bounded memo that the exact `rll-*` checks (which reduce it to normal form),
+cyclicrep's compiled `rep-rll` programs and the slot decomposition share;
+`slot_grid` is memoized too.  Both hand out fresh OpMatrix wrappers.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -80,21 +86,15 @@ def embed(M: OpMatrix, legs: tuple[int, ...], n_legs: int) -> OpMatrix:
     """Place M (2x2 or 4x4) on the given auxiliary legs of a 2^n_legs space."""
     if M.n != 2 ** len(legs):
         raise ValueError("matrix size does not match number of legs")
-    size = 2**n_legs
-    out = OpMatrix.zeros(M.alg, size)
-    others = [k for k in range(n_legs) if k not in legs]
-    for I in range(size):
-        ibits = [(I >> (n_legs - 1 - k)) & 1 for k in range(n_legs)]
-        for J in range(size):
-            jbits = [(J >> (n_legs - 1 - k)) & 1 for k in range(n_legs)]
-            if any(ibits[k] != jbits[k] for k in others):
-                continue
-            row = 0
-            col = 0
-            for k in legs:
-                row = (row << 1) | ibits[k]
-                col = (col << 1) | jbits[k]
-            out.rows[I][J] = M.rows[row][col]
+    out = OpMatrix.zeros(M.alg, 2**n_legs)
+    bits = [[(I >> (n_legs - 1 - k)) & 1 for k in range(n_legs)] for I in range(2**n_legs)]
+    for I, ibits in enumerate(bits):
+        for J, jbits in enumerate(bits):
+            if all(ibits[k] == jbits[k] for k in range(n_legs) if k not in legs):
+                row = col = 0
+                for k in legs:
+                    row, col = (row << 1) | ibits[k], (col << 1) | jbits[k]
+                out.rows[I][J] = M.rows[row][col]
     return out
 
 
@@ -140,9 +140,18 @@ def r_twist(R: OpMatrix, param: str = "lam") -> OpMatrix:
 
 def rll_defect(R_builder, L_builder, alg: Presentation) -> OpMatrix:
     """R12(lam) L13(lam mu) L23(mu) - L23(mu) L13(lam mu) R12(lam); zero iff the
-    exchange relation holds identically in lam, mu."""
-    R12 = embed(R_builder(alg), (0, 1), 2)
-    L = L_builder(alg, site=0)
+    exchange relation holds identically in lam, mu; over an algebra with
+    (confluent) rules, the normal form of the free copy's residual."""
+    if alg.rules:
+        return rll_defect(R_builder, L_builder, alg.free_copy()).map_entries_to(
+            alg, lambda p: NCPoly(alg, p.terms))
+    return OpMatrix(alg, _free_rll(R_builder, L_builder, alg).rows)
+
+
+@lru_cache(maxsize=32)
+def _free_rll(R_builder, L_builder, free: Presentation) -> OpMatrix:
+    R12 = embed(R_builder(free), (0, 1), 2)
+    L = L_builder(free, site=0)
     L13 = embed(L.spread_param("lam", ("lam", "mu")), (0,), 2)
     L23 = embed(L.spread_param("lam", ("mu",)), (1,), 2)
     return (R12 @ L13 @ L23) - (L23 @ L13 @ R12)
@@ -165,18 +174,11 @@ QDET_CONVENTIONS = ("AD-qBC", "AD-q^-1BC", "DA-qCB", "DA-q^-1CB")
 
 
 def qdet(L: OpMatrix, convention: str) -> NCPoly:
-    A, B, C, D = L[0][0], L[0][1], L[1][0], L[1][1]
-    q = L.alg.param("q")
-    qi = L.alg.param("q", -1)
-    if convention == "AD-qBC":
-        return A * D - q * B * C
-    if convention == "AD-q^-1BC":
-        return A * D - qi * B * C
-    if convention == "DA-qCB":
-        return D * A - q * C * B
-    if convention == "DA-q^-1CB":
-        return D * A - qi * C * B
-    raise ValueError(f"unknown convention {convention!r}")
+    if convention not in QDET_CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+    (A, B), (C, D) = L.rows
+    first, second = (A * D, B * C) if convention.startswith("AD") else (D * A, C * B)
+    return first - L.alg.param("q", -1 if "q^-1" in convention else 1) * second
 
 
 def qdet_scan(L: OpMatrix) -> dict[str, NCPoly]:
@@ -204,20 +206,23 @@ def _shift(word, s: int, n: int):
     return tuple(sorted([((t + s) % n, g) for t, g in word], key=_SITE))
 
 
-def cyclic_commutator(p: NCPoly, q: NCPoly, n_sites: int) -> NCPoly:
-    """p q - q p for p, q invariant under the site shift t -> t + 1 mod
-    n_sites (else ValueError): per orbit size m, [r, q] for the sum r of p's
-    terms on one word per orbit, added with its shifts by 1, ..., m - 1."""
-    for x in (q, p):  # both are checked; the groups kept are p's
-        left, groups = dict(x.terms), {}
-        while left:
-            w, c = left.popitem()
-            m = 1
-            while (v := _shift(w, m, n_sites)) != w:
-                if left.pop(v, None) != c:
-                    raise ValueError(f"not invariant under the cyclic shift: {v} lacks {c}")
-                m += 1
-            groups.setdefault(m, {})[w] = c
+def _orbits(x: NCPoly, n_sites: int) -> dict[int, dict]:
+    """x's terms on one word per orbit of the site shift, by orbit size;
+    ValueError if x is not invariant under the shift."""
+    left, groups = dict(x.terms), {}
+    while left:
+        w, c = left.popitem()
+        m = 1
+        while (v := _shift(w, m, n_sites)) != w:
+            if left.pop(v, None) != c:
+                raise ValueError(f"not invariant under the cyclic shift: {v} lacks {c}")
+            m += 1
+        groups.setdefault(m, {})[w] = c
+    return groups
+
+
+def _orbit_commutator(groups: dict[int, dict], p: NCPoly, q: NCPoly,
+                      n_sites: int) -> NCPoly:
     out: dict = {}
     for m, reps in groups.items():
         for w, c in NCPoly(p.alg, reps, normalized=True).commutator(q).terms.items():
@@ -226,16 +231,26 @@ def cyclic_commutator(p: NCPoly, q: NCPoly, n_sites: int) -> NCPoly:
     return NCPoly(p.alg, out, normalized=True)
 
 
+def cyclic_commutator(p: NCPoly, q: NCPoly, n_sites: int) -> NCPoly:
+    """p q - q p for p, q invariant under the site shift t -> t + 1 mod
+    n_sites (else ValueError): per orbit size m, [r, q] for the sum r of p's
+    terms on one word per orbit, added with its shifts by 1, ..., m - 1."""
+    _orbits(q, n_sites)
+    return _orbit_commutator(_orbits(p, n_sites), p, q, n_sites)
+
+
 def transfer_mode_commutators(L_builder, alg: Presentation,
                               n_sites: int) -> dict[tuple[int, int], NCPoly]:
     """The nonzero [T_j, T_k], j < k, of the Laurent modes of the transfer
     matrix T(lam) = sum_j lam^j T_j; each T_j has coefficients in q alone
-    and is shift invariant like T, so [T_j, T_k] is a `cyclic_commutator`."""
+    and is shift invariant like T, so [T_j, T_k] is a `cyclic_commutator`
+    (each mode is grouped into orbits once)."""
     T = transfer(L_builder, alg, n_sites)
     modes = {j: T.coefficient_of("lam", j) for j in sorted(T.param_degrees("lam"))}
+    orbits = {j: _orbits(T_j, n_sites) for j, T_j in modes.items()}
     out = {}
     for j, k in combinations(modes, 2):
-        c = cyclic_commutator(modes[j], modes[k], n_sites)
+        c = _orbit_commutator(orbits[j], modes[j], modes[k], n_sites)
         if not c.is_zero():
             out[(j, k)] = c
     return out
@@ -307,6 +322,11 @@ def slot_grid(free: Presentation) -> dict[tuple[int, int], OpMatrix]:
     (with arguments lam*mu and mu) sorts the residual into seven constant
     blocks; each block must vanish once the algebra relations are imposed.
     """
+    return {key: OpMatrix(free, M.rows) for key, M in _slot_grid(free).items()}
+
+
+@lru_cache(maxsize=32)
+def _slot_grid(free: Presentation) -> dict[tuple[int, int], OpMatrix]:
     Rp = embed(R_plus(free), (0, 1), 2)
     Rm = embed(R_minus(free), (0, 1), 2)
     p13 = embed(L_ext_plus(free), (0,), 2)

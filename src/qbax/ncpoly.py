@@ -14,6 +14,9 @@ rewriting system carried by the Presentation:
 Every NCPoly is kept in normal form at all times, so equality of normal forms
 is dictionary equality.  Rewriting is memoized per presentation; the diamond
 check for local confluence (`check_confluence`) makes memoized reduction safe.
+Every product runs one multiply-accumulate kernel, `_mul_into`, which adds p q
+term by term into a dict its caller owns: an NCPoly product, or one entry of
+an OpMatrix product.  `free_copy()` is one rule-free copy per presentation.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from math import inf
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .coeff import QLM, Coefficient
+from .coeff import _BITS, QLM, Coefficient, _new
 
 __all__ = [
     "Presentation",
@@ -73,6 +76,7 @@ class Presentation:
         }
         self._reduce_cache: dict[LocalWord, dict[LocalWord, Coefficient]] = {}
         self._site_cache: dict[tuple[int, LocalWord], _SiteTerms] = {}
+        self._free: Presentation | None = None
         self._validate()
 
     def _validate(self):
@@ -101,8 +105,11 @@ class Presentation:
         return ".".join(self.gens[g] for g in w) if w else "1"
 
     def free_copy(self) -> "Presentation":
-        """Same generators, no rules: words are only site-sorted, never reduced."""
-        return Presentation(self.name + "/free", self.gens, {}, self.vars)
+        """Same generators, no rules: words are only site-sorted, never
+        reduced.  One copy per presentation, so its memos are shared."""
+        if self._free is None:
+            self._free = Presentation(self.name + "/free", self.gens, {}, self.vars)
+        return self._free
 
     # ------------------------------------------------------------ reduction
     def reduce_local(self, word: LocalWord) -> dict[LocalWord, Coefficient]:
@@ -224,31 +231,8 @@ class NCPoly:
     def __mul__(self, other) -> "NCPoly":
         if isinstance(other, (int, Fraction, Coefficient)):
             return self.scale(other)
-        self._check(other)
-        # Both operands are normal: a site held by one operand only keeps its
-        # letters, and only the sites both hold are reduced.
-        site_terms = self.alg.site_terms
-        right = [(w, c, *_blocks(w)) for w, c in other.terms.items()]
         out: dict[Word, Coefficient] = {}
-        for w1, c1 in self.terms.items():
-            first1, last1, blocks1 = _blocks(w1)
-            for w2, c2, first2, last2, blocks2 in right:
-                c = c1 * c2
-                if last1 < first2:
-                    w = w1 + w2
-                elif last2 < first1:
-                    w = w2 + w1
-                elif blocks1.keys() == blocks2.keys():
-                    _expand([site_terms(s, x[0] + y[0])
-                             for (s, x), y in zip(blocks1.items(), blocks2.values())], c, out)
-                    continue
-                elif shared := blocks1.keys() & blocks2.keys():
-                    _expand([site_terms(s, blocks1[s][0] + b[0]) if s in shared else b[1]
-                             for s, b in sorted({**blocks1, **blocks2}.items())], c, out)
-                    continue
-                else:  # a stable sort by site keeps each site's letters in order
-                    w = tuple(sorted(w1 + w2, key=_SITE))
-                _accumulate(out, w, c)
+        _mul_into(out, self, other)
         return NCPoly(self.alg, out, normalized=True)
 
     def __rmul__(self, other) -> "NCPoly":
@@ -327,31 +311,53 @@ _SiteTerms = tuple[tuple[Word, "Coefficient | None"], ...]
 _SITE, _GEN = itemgetter(0), itemgetter(1)
 
 
-def _blocks(word: Word) -> tuple[float, float, dict[int, tuple[LocalWord, _SiteTerms]]]:
-    """The first and last site of a normal word (±inf if it is empty), and
-    per site its local word and letters."""
+def _blocks(word: Word) -> dict[int, tuple[LocalWord, _SiteTerms]]:
+    """Per site of a normal word, in site order: its local word, and its
+    letters as a one-term part."""
     blocks = {}
     for s, letters in groupby(word, _SITE):
         letters = tuple(letters)
         blocks[s] = (tuple(map(_GEN, letters)), ((letters, None),))
-    return (word[0][0], word[-1][0], blocks) if word else (inf, -inf, blocks)
+    return blocks
+
+
+def _mul_into(out: dict[Word, Coefficient], p: NCPoly, q: NCPoly):
+    """out += p q, term by term, for normal p and q over one presentation.
+
+    Words whose site ranges do not overlap are concatenated.  Otherwise one
+    merge of their site blocks reduces the sites both words hold, and a
+    site held by one word only keeps its letters."""
+    p._check(q)
+    site_terms = p.alg.site_terms
+    right = [(w, c, w[0][0], w[-1][0], _blocks(w)) if w else (w, c, inf, -inf, {})
+             for w, c in q.terms.items()]
+    for w1, c1 in p.terms.items():
+        first1, last1 = (w1[0][0], w1[-1][0]) if w1 else (inf, -inf)
+        blocks1 = None
+        for w2, c2, first2, last2, blocks2 in right:
+            c = c1 * c2
+            if last1 < first2:
+                _accumulate(out, w1 + w2, c)
+            elif last2 < first1:
+                _accumulate(out, w2 + w1, c)
+            else:
+                blocks1 = blocks1 or _blocks(w1)
+                _expand([site_terms(s, x[0] + y[0])
+                         if (x := blocks1.get(s)) and (y := blocks2.get(s)) else (x or blocks2[s])[1]
+                         for s in sorted(blocks1.keys() | blocks2.keys())], c, out)
 
 
 def _expand(parts: Sequence[_SiteTerms], coeff: Coefficient, out: dict[Word, Coefficient]):
     """Add coeff times the product of parts, one per site in site order."""
-    word: Word = ()
-    combos = None
+    word, combos = (), None
     for terms in parts:
         if combos is None and len(terms) == 1:
             ((t, lc),) = terms
-            word += t
-            if lc is not None:
-                coeff = coeff * lc
-        elif combos is None:
-            combos = [(word + t, coeff if lc is None else coeff * lc) for t, lc in terms]
+            word, coeff = word + t, coeff if lc is None else coeff * lc
         else:
-            combos = [(w + t, c if lc is None else c * lc) for w, c in combos for t, lc in terms]
-    for w, c in ((word, coeff),) if combos is None else combos:
+            combos = [(w + t, c if lc is None else c * lc) for w, c in
+                      ([(word, coeff)] if combos is None else combos) for t, lc in terms]
+    for w, c in [(word, coeff)] if combos is None else combos:
         _accumulate(out, w, c)
 
 
@@ -411,16 +417,17 @@ class OpMatrix:
     def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
         if self.n != other.n:
             raise ValueError("size mismatch")
-        out = OpMatrix.zeros(self.alg, self.n)
-        for i in range(self.n):
-            for j in range(self.n):
-                acc = self.alg.zero()
-                for k in range(self.n):
-                    a, b = self.rows[i][k], other.rows[k][j]
+        cols = list(zip(*other.rows))
+        rows = []
+        for row in self.rows:
+            rows.append(entries := [])
+            for col in cols:
+                out: dict[Word, Coefficient] = {}
+                for a, b in zip(row, col):
                     if a.terms and b.terms:  # embedded matrices are mostly zero
-                        acc = acc + a * b
-                out.rows[i][j] = acc
-        return out
+                        _mul_into(out, a, b)
+                entries.append(NCPoly(self.alg, out, normalized=True))
+        return OpMatrix(self.alg, rows)
 
     def __add__(self, other: "OpMatrix") -> "OpMatrix":
         return OpMatrix(
@@ -699,16 +706,14 @@ def check_confluence(alg: Presentation) -> ConfluenceResult:
 def random_poly(alg: Presentation, rng, n_terms: int = 3, max_len: int = 4, n_sites: int = 1) -> NCPoly:
     """A small random element; deterministic given the rng state."""
     raw: dict[Word, Coefficient] = {}
+    q_shift = _BITS * alg.vars.index("q")
     for _ in range(n_terms):
         length = rng.randrange(max_len + 1)
         word = tuple(
             (rng.randrange(n_sites), rng.randrange(len(alg.gens)))
             for _ in range(length)
         )
-        coeff = Coefficient.monomial(
-            alg.vars,
-            Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)),
-            q=rng.randrange(-2, 3),
-        )
-        _accumulate(raw, word, coeff)
+        # num/den * q^e, drawn in that order
+        num, den, e = rng.randrange(-4, 5), rng.randrange(1, 4), rng.randrange(-2, 3)
+        _accumulate(raw, word, _new(alg.vars, {e << q_shift: num} if num else {}, den, abs(e)))
     return NCPoly(alg, raw)

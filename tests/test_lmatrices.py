@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qbax import cyclicrep, lmatrices
 from qbax.catalog import ALGEBRAS, GLq2, GLq2Ext, Aq, Wq, quantum_determinant
 from qbax.lmatrices import (
     PAIRINGS,
@@ -15,7 +16,10 @@ from qbax.lmatrices import (
     L_weyl,
     OpMatrix,
     R_hat,
+    R_minus,
+    R_plus,
     R_sym,
+    T_quantum_matrix,
     aux_twist,
     cyclic_commutator,
     embed,
@@ -25,6 +29,7 @@ from qbax.lmatrices import (
     qdet_scan,
     qdst_charges,
     rll_defect,
+    slot_grid,
     subst_i_lam,
     transfer,
     transfer_commutation_defect,
@@ -33,6 +38,7 @@ from qbax.lmatrices import (
     ybe_defect,
 )
 from qbax.ncpoly import Operator
+from qbax.registry import run_suite
 
 
 def test_pairings_table_is_well_formed():
@@ -274,3 +280,83 @@ def test_a_non_invariant_operand_raises():
 
 def test_qdst_transfer_matrices_commute_at_six_sites():
     assert transfer_commutation_defect(L_qdst, Aq, 6).is_zero()
+
+
+def test_each_mode_is_grouped_once(monkeypatch):
+    calls = []
+    grouped = lmatrices._orbits
+    monkeypatch.setattr(lmatrices, "_orbits",
+                        lambda x, n: calls.append(x) or grouped(x, n))
+    T = transfer(L_qdst, Aq, 5)
+    modes = T.param_degrees("lam")
+    pairs = transfer_mode_commutators(L_qdst, Aq, 5)
+    assert len(calls) == len(modes) == 6
+    assert not pairs
+
+
+# --------------------------------------------------------------------------
+# exchange residuals: built once over the free copy, reduced afterwards
+# --------------------------------------------------------------------------
+
+def _direct_rll(R_builder, L_builder, alg):
+    """The exchange residual from products taken in alg itself."""
+    R12 = embed(R_builder(alg), (0, 1), 2)
+    L = L_builder(alg, site=0)
+    L13 = embed(L.spread_param("lam", ("lam", "mu")), (0,), 2)
+    L23 = embed(L.spread_param("lam", ("mu",)), (1,), 2)
+    return (R12 @ L13 @ L23) - (L23 @ L13 @ R12)
+
+
+# the (R, L, algebra) triples of the registry's rll-* and frt-constant-* checks
+REGISTRY_TRIPLES = [row[1:] for row in PAIRINGS] + [
+    (R_plus, T_quantum_matrix, GLq2), (R_minus, T_quantum_matrix, GLq2)]
+
+
+@pytest.mark.parametrize("R_builder, L_builder, alg", REGISTRY_TRIPLES,
+                         ids=[row[0] for row in PAIRINGS] + ["frt-plus", "frt-minus"])
+def test_rll_defect_is_the_product_taken_in_the_algebra(R_builder, L_builder, alg):
+    assert rll_defect(R_builder, L_builder, alg) == _direct_rll(R_builder, L_builder, alg)
+    # every R in the catalog, some of them a mismatch with a nonzero residual
+    nonzero = 0
+    for R in (R_hat, R_sym, R_plus, R_minus):
+        got = rll_defect(R, L_builder, alg)
+        assert got.alg is alg
+        assert got == _direct_rll(R, L_builder, alg)
+        nonzero += not got.is_zero()
+        free = alg.free_copy()
+        assert rll_defect(R, L_builder, free) == _direct_rll(R, L_builder, free)
+    assert nonzero
+
+
+def test_free_copy_is_one_object_per_algebra():
+    for alg in ALGEBRAS.values():
+        free = alg.free_copy()
+        assert free is alg.free_copy()
+        assert not free.rules and free.gens == alg.gens and free.vars == alg.vars
+
+
+def test_residuals_and_slot_grids_come_back_unchanged_after_mutation():
+    free = GLq2Ext.free_copy()
+    for alg in (GLq2Ext, free):
+        first = rll_defect(R_hat, L_ext_hat, alg)
+        want = [list(row) for row in first.rows]
+        first.rows[0][0] = alg.one()
+        first.rows[1].clear()
+        again = rll_defect(R_hat, L_ext_hat, alg)
+        assert again.rows == want and again is not first
+    grid = slot_grid(free)
+    want = {key: [list(row) for row in M.rows] for key, M in grid.items()}
+    grid[(2, 2)].rows[0][0] = free.one()
+    grid[(0, 0)].rows.clear()
+    del grid[(0, 2)]
+    assert {key: M.rows for key, M in slot_grid(free).items()} == want
+
+
+def test_the_registry_builds_each_residual_and_slot_grid_once():
+    for memo in (lmatrices._free_rll, lmatrices._slot_grid, cyclicrep._rll_program):
+        assert memo.cache_info().maxsize == 32  # bounded
+        memo.cache_clear()
+    report = run_suite("rll-*,frt-*,slot-*,rep-rll", seed=0)
+    assert len(report.results) == 16 and report.ok
+    assert lmatrices._free_rll.cache_info().misses == 13
+    assert lmatrices._slot_grid.cache_info().misses == 1

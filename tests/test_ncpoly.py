@@ -8,6 +8,7 @@ from qbax.coeff import Coefficient
 from qbax.catalog import ALGEBRAS, Aq, GLq2, Wq
 from qbax.ncpoly import (
     NCPoly,
+    OpMatrix,
     Presentation,
     check_confluence,
     random_poly,
@@ -169,12 +170,29 @@ def _reference_normal_form(alg, raw):
 
 
 def _reference_product(a, b):
-    raw = {}
+    """Each pair of terms concatenated and normalized on its own, added in
+    the order of a's terms, then b's, dropping what cancels: the product's
+    terms in the product's insertion order."""
+    out = {}
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
-            w = w1 + w2
-            raw[w] = raw[w] + c1 * c2 if w in raw else c1 * c2
-    return NCPoly(a.alg, _reference_normal_form(a.alg, raw), normalized=True)
+            for w, c in _reference_normal_form(a.alg, {w1 + w2: c1 * c2}).items():
+                if w in out:
+                    c = out[w] + c
+                if c:
+                    out[w] = c
+                else:
+                    del out[w]
+    return NCPoly(a.alg, out, normalized=True)
+
+
+def _overlap(w1, w2):
+    """How a product meets a pair of normal words: apart (site ranges do not
+    overlap), shared (a site in both) or interleaved (neither)."""
+    s1, s2 = {s for s, _ in w1}, {s for s, _ in w2}
+    if not s1 or not s2 or max(s1) < min(s2) or max(s2) < min(s1):
+        return "apart"
+    return "shared" if s1 & s2 else "interleaved"
 
 
 @pytest.mark.parametrize("free", [False, True], ids=["rules", "free"])
@@ -182,19 +200,56 @@ def _reference_product(a, b):
 def test_product_matches_concatenate_then_normalize(name, free):
     alg = ALGEBRAS[name].free_copy() if free else ALGEBRAS[name]
     rng = random.Random(f"{name}/{free}")
+    seen = set()
     for n_sites in (1, 2, 3, 4):
-        for _ in range(6):
+        for _ in range(12):
             a, b = (random_poly(alg, rng, n_terms=rng.randrange(1, 5), max_len=4,
                                 n_sites=n_sites) for _ in range(2))
-            assert a * b == _reference_product(a, b)
+            got, want = a * b, _reference_product(a, b)
+            assert got == want
+            assert list(got.terms) == list(want.terms)  # the same insertion order
+            seen |= {_overlap(w1, w2) for w1 in a.terms for w2 in b.terms}
+            seen |= {"empty" for w in (*a.terms, *b.terms) if not w}
             # the inputs are normal forms of their own words
             assert a == NCPoly(alg, _reference_normal_form(alg, a.terms),
                                normalized=True)
+    assert seen == {"apart", "shared", "interleaved", "empty"}
+
+
+def test_product_of_interleaved_and_empty_words():
+    one = GLq2.one()
+    x = GLq2.gen("a", 0) * GLq2.gen("d", 2)
+    y = GLq2.gen("b", 1) * GLq2.gen("c", 3)
+    for p, q in ((x, y), (y, x), (one, x), (x, one), (x + one, y + one)):
+        got = p * q
+        assert got == _reference_product(p, q)
+        assert list(got.terms) == list(_reference_product(p, q).terms)
+    letters = [(s, GLq2.index(g)) for s, g in ((0, "a"), (1, "b"), (2, "d"), (3, "c"))]
+    assert (x * y).terms == {tuple(letters): Coefficient.one()}
+
+
+def test_opmatrix_product_is_the_sum_of_entry_products():
+    rng = random.Random("opmatrix")
+    for alg in (Aq, GLq2, GLq2.free_copy()):
+        m1, m2 = (OpMatrix(alg, [[random_poly(alg, rng, 2, 3, 3) if rng.random() < 0.7
+                                  else alg.zero() for _ in range(3)] for _ in range(3)])
+                  for _ in range(2))
+        got = m1 @ m2
+        for i in range(3):
+            for j in range(3):
+                want = alg.zero()
+                for k in range(3):
+                    want = want + m1[i][k] * m2[k][j]
+                assert got[i][j] == want
+    with pytest.raises(ValueError, match="mixed algebras"):
+        OpMatrix.identity(Aq, 2) @ OpMatrix.identity(GLq2, 2)
 
 
 def _random_poly_term_by_term(alg, rng, n_terms=3, max_len=4, n_sites=1):
-    """random_poly as a sum of one-term polynomials, each normalized."""
-    total = alg.zero()
+    """random_poly as a sum of one-term polynomials, each normalized; and,
+    from the same draws, the raw words added first and then normalized,
+    which gives random_poly's term order."""
+    total, raw = alg.zero(), {}
     for _ in range(n_terms):
         length = rng.randrange(max_len + 1)
         word = tuple((rng.randrange(n_sites), rng.randrange(len(alg.gens)))
@@ -203,7 +258,13 @@ def _random_poly_term_by_term(alg, rng, n_terms=3, max_len=4, n_sites=1):
             alg.vars, Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)),
             q=rng.randrange(-2, 3))
         total = total + NCPoly(alg, {word: coeff})
-    return total
+        if word in raw:
+            coeff = raw[word] + coeff
+        if coeff:
+            raw[word] = coeff
+        else:
+            raw.pop(word, None)
+    return total, NCPoly(alg, raw)
 
 
 @pytest.mark.parametrize("free", [False, True], ids=["rules", "free"])
@@ -216,8 +277,9 @@ def test_random_poly_matches_the_term_by_term_sum(name, free):
         for n_terms in (1, 3, 8):
             for _ in range(10):
                 got = random_poly(alg, got_rng, n_terms, 4, n_sites)
-                want = _random_poly_term_by_term(alg, want_rng, n_terms, 4,
-                                                 n_sites)
+                want, ordered = _random_poly_term_by_term(alg, want_rng, n_terms,
+                                                          4, n_sites)
                 assert got == want
+                assert list(got.terms.items()) == list(ordered.terms.items())
     # the same draws, in the same order
     assert got_rng.getstate() == want_rng.getstate()

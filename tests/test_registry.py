@@ -46,6 +46,15 @@ def test_registry_fingerprint():
         "expected-failure": 6}
 
 
+def test_seed_zero_statuses_are_pinned(full_report):
+    # the 110 ids (hash as above) and each one's status at seed 0, in
+    # build_checks order: a status that changes is a behaviour change
+    ids = "\n".join(r.check_id for r in full_report.results).encode()
+    assert hashlib.sha256(ids).hexdigest().startswith("28b67b9e36652adf")
+    pairs = "\n".join(f"{r.check_id} {r.status}" for r in full_report.results)
+    assert hashlib.sha256(pairs.encode()).hexdigest().startswith("53fb347508a698c1")
+
+
 def test_check_rejects_an_unknown_kind():
     with pytest.raises(ValueError, match="kind"):
         Check("t-kind", "no such kind", "approximate", lambda: (True, ""))
