@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -366,6 +367,12 @@ def transfer_num(L_builder, alg: Presentation, rep: dict[str, np.ndarray],
                      _values(q_val, lam))[0]
 
 
+def _norm2(index, val) -> float:
+    """Squared Frobenius norm of the matrix with val summed at flat index."""
+    re, im = (np.bincount(index.ravel(), v.ravel()) for v in (val.real, val.imag))
+    return float(re @ re + im @ im)
+
+
 def transfer_commutator_num(L_builder, alg: Presentation,
                             rep: dict[str, np.ndarray], n_sites: int,
                             x: complex, y: complex, q_val: complex) -> float:
@@ -374,23 +381,22 @@ def transfer_commutator_num(L_builder, alg: Presentation,
     T(x) = sum_g diag(x_g) S_g over the transfer's layers, S_g the 0/1 matrix
     of map cols[g].  As S_g diag(w) = diag(w[cols[g]]) S_g, the commutator is
     sum_{g,h} diag(x_g y_h[cols[g]] - y_g x_h[cols[g]]) S_g S_h: G^2 D entries,
-    in blocks of rows of D^2 / 4 (about one dense D x D array with products
-    and indices), scattered into those rows; the squared norms add up."""
-    def norm2(index, val):   # of the matrix with val summed at flat index
-        out = np.bincount((2 * index[..., None] + (0, 1)).reshape(-1),
-                          val.view(float).reshape(-1))
-        return float(out @ out)
-
+    scattered with T(x) and T(y) in blocks of rows, at most 2^13 entries and
+    2^13 dense elements each (flat indices from the block's first row, so
+    one block at small D); the squared norms add up."""
     prog = _transfer_program(L_builder, alg, n_sites)
     maps, coeffs = _evaluate(prog, rep, _values(q_val, np.array([x, y])))
     vx, vy = (maps.member @ (c[:, None] * maps.weight) for c in coeffs)
     G, D = (cols := maps.cols).shape
-    rows, step, comm = D * np.arange(D), max(1, D * D // (4 * G * G)), 0.0
+    step, comm, nx, ny = max(1, 2**13 // max(D, G * G)), 0.0, 0.0, 0.0
     for r in range(0, D, step):
         at, xr, yr = cols[:, r:r + step], vx[:, r:r + step], vy[:, r:r + step]
+        rows = D * np.arange(at.shape[1])
         val = vy.take(at, axis=1) * xr - vx.take(at, axis=1) * yr
-        comm += norm2(cols.take(at, axis=1) + rows[:at.shape[1]], val)
-    return math.sqrt(comm / norm2(cols + rows, vx) / norm2(cols + rows, vy))
+        comm += _norm2(cols.take(at, axis=1) + rows, val)
+        nx += _norm2(at + rows, xr)
+        ny += _norm2(at + rows, yr)
+    return math.sqrt(comm / nx / ny)
 
 
 def qdst_charge_fit(alg: Presentation, rep: dict[str, np.ndarray],
@@ -423,7 +429,8 @@ def qdst_charge_fit(alg: Presentation, rep: dict[str, np.ndarray],
     return fit
 
 
-def spectral_points(seed: int, count: int) -> np.ndarray:
-    """Seeded sample of evaluation points uniform on the unit circle."""
-    rng = np.random.default_rng(seed)
-    return np.exp(2j * math.pi * rng.random(count))
+def spectral_points(seed: int | random.Random, count: int) -> np.ndarray:
+    """count points e^(2 pi i random()) on the unit circle, in order from
+    random.Random(seed), or from seed when it is one."""
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    return np.array([cmath.exp(2j * math.pi * rng.random()) for _ in range(count)])

@@ -16,7 +16,8 @@ is dictionary equality.  Rewriting is memoized per presentation; the diamond
 check for local confluence (`check_confluence`) makes memoized reduction safe.
 Every product runs one multiply-accumulate kernel, `_mul_into`, which adds p q
 term by term into a dict its caller owns: an NCPoly product, or one entry of
-an OpMatrix product.  `free_copy()` is one rule-free copy per presentation.
+an OpMatrix product (right operands prepared once).  `free_copy()` is one
+rule-free copy per presentation.
 """
 
 from __future__ import annotations
@@ -231,8 +232,9 @@ class NCPoly:
     def __mul__(self, other) -> "NCPoly":
         if isinstance(other, (int, Fraction, Coefficient)):
             return self.scale(other)
+        self._check(other)
         out: dict[Word, Coefficient] = {}
-        _mul_into(out, self, other)
+        _mul_into(out, self, _right(other))
         return NCPoly(self.alg, out, normalized=True)
 
     def __rmul__(self, other) -> "NCPoly":
@@ -321,16 +323,20 @@ def _blocks(word: Word) -> dict[int, tuple[LocalWord, _SiteTerms]]:
     return blocks
 
 
-def _mul_into(out: dict[Word, Coefficient], p: NCPoly, q: NCPoly):
-    """out += p q, term by term, for normal p and q over one presentation.
+def _right(q: NCPoly) -> list:
+    """q's terms with their first and last sites and site blocks."""
+    return [(w, c, w[0][0], w[-1][0], _blocks(w)) if w else (w, c, inf, -inf, {})
+            for w, c in q.terms.items()]
+
+
+def _mul_into(out: dict[Word, Coefficient], p: NCPoly, right: list):
+    """out += p q, term by term, for normal p and q = _right(q) over one
+    presentation.
 
     Words whose site ranges do not overlap are concatenated.  Otherwise one
     merge of their site blocks reduces the sites both words hold, and a
     site held by one word only keeps its letters."""
-    p._check(q)
     site_terms = p.alg.site_terms
-    right = [(w, c, w[0][0], w[-1][0], _blocks(w)) if w else (w, c, inf, -inf, {})
-             for w, c in q.terms.items()]
     for w1, c1 in p.terms.items():
         first1, last1 = (w1[0][0], w1[-1][0]) if w1 else (inf, -inf)
         blocks1 = None
@@ -417,15 +423,16 @@ class OpMatrix:
     def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
         if self.n != other.n:
             raise ValueError("size mismatch")
-        cols = list(zip(*other.rows))
+        cols = [[(b, _right(b)) for b in col] for col in zip(*other.rows)]
         rows = []
         for row in self.rows:
             rows.append(entries := [])
             for col in cols:
                 out: dict[Word, Coefficient] = {}
-                for a, b in zip(row, col):
-                    if a.terms and b.terms:  # embedded matrices are mostly zero
-                        _mul_into(out, a, b)
+                for a, (b, right) in zip(row, col):
+                    if a.terms and right:  # embedded matrices are mostly zero
+                        a._check(b)
+                        _mul_into(out, a, right)
                 entries.append(NCPoly(self.alg, out, normalized=True))
         return OpMatrix(self.alg, rows)
 

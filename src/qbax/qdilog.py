@@ -320,9 +320,16 @@ def check_shift(omega: float, x, p: DilogParams | None = None):
 
 
 def check_unitarity(omega: float, x, p: DilogParams | None = None):
-    """| |S(x)| - 1 | for real x > 0."""
+    """Worse of | |S(x)| - 1 | and S(x) S(1/x) against the inversion phase for
+    x > 0, both on the line, whose symmetric rule gives |S| = 1 at any step
+    (the product can fail).  Past |log x| = 10 the line is inexact: invert."""
     p = p or DilogParams(omega)
-    return abs(abs(s_omega_log(_positive(x)[1], p)) - 1.0)
+    ell = _positive(x)[1]
+    s, inv = s_omega_log(np.array([ell, -ell]), p, np.abs(ell).max(initial=0) > 10)
+    phase = np.exp(1j * (ell * ell / (4.0 * math.pi * omega * omega)
+                         + math.pi * (omega**2 + omega**-2) / 12))
+    d = np.maximum(abs(abs(s) - 1.0), _rel(s * inv, phase))
+    return d if np.ndim(d) else float(d)
 
 
 def check_self_dual(omega: float, s, p: DilogParams | None = None):

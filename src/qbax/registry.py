@@ -19,10 +19,10 @@ tolerance (pinned per check unless tol overrides it), finds the worst pair
 summary.
 
 The runner times each check, collects CheckResult rows, and assembles a
-SuiteReport that is deterministic for a fixed seed: seeded draws are
-derived from (seed, crc32(check_id)), results are merged in registry order
-even when fanned out over worker processes, and the JSON form omits wall
-times unless explicitly asked for.
+SuiteReport that is deterministic for a fixed seed: each check draws from
+one stdlib random.Random seeded by (seed, crc32(check_id)), whatever the
+numpy release; results are merged in registry order even when fanned out
+over worker processes, and the JSON form omits wall times unless asked.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import fnmatch
 import json
 import math
 import os
+import random
 import time
 import zlib
 from dataclasses import dataclass
@@ -200,8 +201,17 @@ _REP_FACTORIES = {
 }
 
 
-def _rng(seed: int, check_id: str) -> np.random.Generator:
-    return np.random.default_rng([seed, zlib.crc32(check_id.encode())])
+def _rng(seed: int, check_id: str) -> random.Random:
+    """A check's draws: uniform, e^(2 pi i random()) and _normals."""
+    return random.Random(seed << 32 | zlib.crc32(check_id.encode()))
+
+
+def _normals(rng: random.Random, n: int) -> np.ndarray:
+    """n standard normals, Box-Muller: draws u, v give r cos 2 pi v and
+    r sin 2 pi v, r = sqrt(-2 log(1 - u))."""
+    uv = [(rng.random(), 2 * math.pi * rng.random()) for _ in range((n + 1) // 2)]
+    return np.array([math.sqrt(-2.0 * math.log(1.0 - u)) * f(t)
+                     for u, t in uv for f in (math.cos, math.sin)][:n])
 
 
 def _registrar(checks: list[Check], tol: float | None):
@@ -251,7 +261,8 @@ def _qdilog_checks(seed: int, tol: float | None) -> list[Check]:
         "omega in {0.3, 0.5, 0.7, 0.9}", 1e-8, "x", X_GRID, check_shift)
     grid_check(
         "qdilog-unitarity",
-        "|S(x)| = 1 for positive real x on the same omega/x grid", 1e-8,
+        "|S(x)| = 1 and S(x) S(1/x) = exp(i pi (omega^2 + omega^-2) / 12 "
+        "+ i log^2 x / (4 pi omega^2)) on the same omega/x grid", 1e-8,
         "x", X_GRID, check_unitarity)
 
     def sampled_check(check_id: str, claim: str, names, draw, check_fn):
@@ -353,11 +364,11 @@ def _rep_checks(seed: int, tol: float | None, max_sites: int) -> list[Check]:
         "for all eleven kernel/operator pairings at seeded spectral points, "
         "N in {3, 5, 7}", 1e-10)
     def _():
+        rng = _rng(seed, "rep-rll")
         for N in REP_SIZES:
             q = root_of_unity(N)
             reps = {name: fac(N) for name, fac in _REP_FACTORIES.items()}
-            pts = spectral_points(_rng(seed, "rep-rll").integers(2**31)
-                                  + N, 20)
+            pts = spectral_points(rng, 20)
             for name, R_builder, L_builder, alg in PAIRINGS:
                 res = rll_residual_num(R_builder, L_builder, alg,
                                        reps[alg.name], pts[::2], pts[1::2], q)
@@ -376,10 +387,10 @@ def _rep_checks(seed: int, tol: float | None, max_sites: int) -> list[Check]:
         wanted = ("ext-hat", "osc-hat", "qdst")
         rows = [(n, Rb, Lb, alg) for n, Rb, Lb, alg in PAIRINGS
                 if n in wanted]
+        rng = _rng(seed, "rep-transfer-commute")
         for N in REP_SIZES:
             q = root_of_unity(N)
-            pts = spectral_points(_rng(seed, "rep-transfer").integers(2**31)
-                                  + N, 4)
+            pts = spectral_points(rng, 4)
             for name, _R, L_builder, alg in rows:
                 rep = _REP_FACTORIES[alg.name](N)
                 res = transfer_commutator_num(L_builder, alg, rep, sites,
@@ -453,19 +464,17 @@ def _classical_checks(seed: int, tol: float | None) -> list[Check]:
             "continuum integral with order >= 1 under spacing halvings",
             "numeric", cont_fn))
 
-    def _config(rng, n=32, beta=1.3):
-        return FieldConfig(phi=rng.standard_normal(n),
-                           pi=rng.standard_normal(n), kappa=1.0 / n,
-                           beta=beta)
+    def configs(check_id: str, n: int = 32) -> list[FieldConfig]:
+        rng = _rng(seed, check_id)   # five trials, phi then pi in each
+        return [FieldConfig(phi=_normals(rng, n), pi=_normals(rng, n),
+                            kappa=1.0 / n, beta=1.3) for _ in range(5)]
 
     @numeric(
         "classical-volterra-duality",
         "the dual Volterra density equals the primal density of the "
         "field-reflected configuration", 1e-12)
     def _():
-        rng = _rng(seed, "classical-volterra-duality")
-        for trial in range(5):
-            cfg = _config(rng)
+        for trial, cfg in enumerate(configs("classical-volterra-duality")):
             flipped = FieldConfig(phi=-cfg.phi, pi=cfg.pi, kappa=cfg.kappa,
                                   beta=cfg.beta)
             d = float(np.max(np.abs(
@@ -478,9 +487,7 @@ def _classical_checks(seed: int, tol: float | None) -> list[Check]:
         "with the self-dual r' the primal and dual Volterra densities "
         "coincide", 1e-12)
     def _():
-        rng = _rng(seed, "classical-volterra-self-dual")
-        for trial in range(5):
-            cfg = _config(rng)
+        for trial, cfg in enumerate(configs("classical-volterra-self-dual")):
             d = float(np.max(np.abs(
                 h_volterra(cfg, r_prime=r_prime_self_dual)
                 - h_volterra(cfg, dual=True, r_prime=r_prime_self_dual))))
@@ -491,9 +498,8 @@ def _classical_checks(seed: int, tol: float | None) -> list[Check]:
         "the relativistic-Toda per-link density telescopes to zero on "
         "periodic chains", 1e-12)
     def _():
-        rng = _rng(seed, "classical-toda-telescoping")
-        return [(abs(toda_total(_config(rng))), f"trial {t}")
-                for t in range(5)]
+        return [(abs(toda_total(cfg)), f"trial {t}") for t, cfg
+                in enumerate(configs("classical-toda-telescoping"))]
 
     @numeric(
         "classical-liouville-zero-point",

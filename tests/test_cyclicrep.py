@@ -7,6 +7,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from qbax import cyclicrep
 from qbax.catalog import Aq, GLq2, GLq2Ext, Wq
 from qbax.coeff import Coefficient
 from qbax.cyclicrep import (
@@ -238,27 +239,48 @@ def test_missing_coefficient_value_is_named():
     numeric_poly(Wq.gen("u", 0), rep, 1, {})
 
 
-@pytest.mark.parametrize("L, alg, factory, N, n, bound", [
-    (L_qdst, Aq, qosc_rep, 3, 5, 3.0),
-    (L_ext_hat, GLq2Ext, glq2ext_rep, 7, 3, 1.75),
+@pytest.mark.parametrize("L, alg, factory, N, n, cold, warm", [
+    (L_qdst, Aq, qosc_rep, 3, 5, 3.0, 1.25),
+    (L_ext_hat, GLq2Ext, glq2ext_rep, 7, 3, 1.75, 0.25),
 ], ids=["qdst-N3-5sites", "ext-hat-N7-3sites"])
 def test_transfer_commutator_memory_stays_near_four_dense_matrices(
-        L, alg, factory, N, n, bound):
-    # no transfer is built densely: a block of rows of the commutator (about
-    # one D x D array with its indices) and, on a cold program, the words'
-    # maps.  Measured peaks 2.75 and 1.52 dense.  At 5 sites G = 31 layers
-    # give G^2 D = 4 D^2 entries, so only the blocks keep the first small.
+        L, alg, factory, N, n, cold, warm):
+    # no transfer is built densely, and a block of rows holds at most 2^13
+    # entries and 2^13 dense elements.  A cold call also builds the
+    # program and the words' maps (measured 2.52 and 0.40 dense); a warm
+    # one only evaluates and scatters (0.91 and 0.13 dense).  At 5 sites
+    # G = 31 layers make the (G, D) layer weights the largest arrays.
     rep, q = factory(N), root_of_unity(N)
     x, y = spectral_points(9, 2)
     dense = 16 * (N**n) ** 2
-    tracemalloc.start()
-    try:
-        res = transfer_commutator_num(L, alg, rep, n, x, y, q)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _transfer_program.cache_clear()
+    for bound in (cold, warm):
+        tracemalloc.start()
+        try:
+            res = transfer_commutator_num(L, alg, rep, n, x, y, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res < 1e-12
+        assert peak <= bound * dense, (bound, peak / dense)
+
+
+def test_small_transfer_commutator_is_one_block(monkeypatch):
+    # at N = 3 on 3 sites (D = 27, G = 7) the whole commutator fits in one
+    # block, so the commutator and each norm take one scatter
+    calls = []
+    real = cyclicrep._norm2
+
+    def spy(index, val):
+        calls.append(index.shape)
+        return real(index, val)
+
+    monkeypatch.setattr(cyclicrep, "_norm2", spy)
+    q = root_of_unity(3)
+    x, y = spectral_points(9, 2)
+    res = transfer_commutator_num(L_qdst, Aq, qosc_rep(3), 3, x, y, q)
     assert res < 1e-12
-    assert peak <= bound * dense, peak / dense
+    assert calls == [(7, 7, 27), (7, 27), (7, 27)]
 
 
 def _monodromy_program(n_sites):
@@ -675,6 +697,23 @@ def test_spectral_points_are_deterministic_and_unimodular():
     assert np.array_equal(a, b)
     assert np.max(np.abs(np.abs(a) - 1.0)) < 1e-14
     assert not np.array_equal(a, spectral_points(5, 6))
+
+
+def test_spectral_points_stream_is_pinned():
+    # e^(2 pi i random()) over random.Random(seed): the first two draws at
+    # seed 0, and the same stream continued from a Random passed in
+    first = [0.8444218515250481, 0.7579544029403025]
+    assert spectral_points(0, 2).tolist() == [
+        cmath.exp(2j * math.pi * u) for u in first]
+    assert np.allclose(spectral_points(0, 2), [0.5590752113944271
+                                               - 0.8291169447094159j,
+                                               0.04995818320146727
+                                               - 0.9987513103526867j],
+                       rtol=0, atol=1e-15)
+    rng = random.Random(0)
+    assert np.array_equal(np.concatenate([spectral_points(rng, 1),
+                                          spectral_points(rng, 1)]),
+                          spectral_points(0, 2))
 
 
 def _product_defect(p, r, rep, coeff_q):

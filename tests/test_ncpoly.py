@@ -245,6 +245,23 @@ def test_opmatrix_product_is_the_sum_of_entry_products():
         OpMatrix.identity(Aq, 2) @ OpMatrix.identity(GLq2, 2)
 
 
+def test_opmatrix_product_prepares_each_right_entry_once(monkeypatch):
+    # a 3 x 3 product reads each right-hand entry in 3 rows, and prepares
+    # it (sites and site blocks of its terms) once
+    from qbax import ncpoly
+
+    prepared = []
+    real = ncpoly._right
+    monkeypatch.setattr(ncpoly, "_right",
+                        lambda q: prepared.append(q) or real(q))
+    rng = random.Random("prepare")
+    m1, m2 = (OpMatrix(Aq, [[random_poly(Aq, rng, 2, 3, 3) for _ in range(3)]
+                            for _ in range(3)]) for _ in range(2))
+    got = m1 @ m2
+    assert sorted(map(id, prepared)) == sorted(id(p) for row in m2.rows for p in row)
+    assert got[0][0] == sum((m1[0][k] * m2[k][0] for k in range(3)), Aq.zero())
+
+
 def _random_poly_term_by_term(alg, rng, n_terms=3, max_len=4, n_sites=1):
     """random_poly as a sum of one-term polynomials, each normalized; and,
     from the same draws, the raw words added first and then normalized,

@@ -6,7 +6,10 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +56,58 @@ def test_seed_zero_statuses_are_pinned(full_report):
     assert hashlib.sha256(ids).hexdigest().startswith("28b67b9e36652adf")
     pairs = "\n".join(f"{r.check_id} {r.status}" for r in full_report.results)
     assert hashlib.sha256(pairs.encode()).hexdigest().startswith("53fb347508a698c1")
+
+
+def test_draw_stream_is_pinned():
+    # one stdlib Mersenne Twister per check, seeded by (seed, crc32(id)):
+    # its floats do not depend on the numpy release
+    rng = registry._rng(0, "qdilog-power-identity")
+    assert [rng.random(), rng.random()] == [0.3588099620002595,
+                                            0.8746303998469807]
+    assert registry._rng(1, "qdilog-power-identity").random() != 0.3588099620002595
+
+
+def test_normals_are_box_muller_pairs():
+    rng = registry._rng(0, "t")
+    u, v = rng.random(), rng.random()
+    r = math.sqrt(-2.0 * math.log(1.0 - u))
+    got = registry._normals(registry._rng(0, "t"), 3)
+    assert got[:2].tolist() == [r * math.cos(2 * math.pi * v),
+                                r * math.sin(2 * math.pi * v)]
+    assert got.shape == (3,)
+    big = registry._normals(registry._rng(0, "t"), 4000)
+    assert abs(big.mean()) < 0.05 and abs(big.std() - 1.0) < 0.05
+
+
+_NO_NUMPY_RANDOM = """
+import sys
+from qbax.registry import run_suite
+report = run_suite()
+assert len(report.results) == 110 and report.ok, report.counts
+print("numpy" in sys.modules, "numpy.random" in sys.modules)
+"""
+
+
+def test_a_full_run_never_imports_numpy_random():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _NO_NUMPY_RANDOM], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "False"]
+
+
+def test_unitarity_fails_on_its_own_defect_under_a_starved_rule(monkeypatch):
+    # 16 steps, certificate lifted: S is off by about 1e-4, |S| is still 1
+    # on the symmetric line, and the product S(x) S(1/x) shows the error
+    real = registry.check_unitarity
+    monkeypatch.setattr(registry, "check_unitarity", lambda om, x: real(
+        om, x, DilogParams(om, steps=16, tol=1e3)))
+    (res,) = run_suite(pattern="qdilog-unitarity").results
+    assert res.status == "fail"
+    worst = float(re.match(r"max defect (\S+) ", res.summary).group(1))
+    assert worst > 1e-5, res.summary
 
 
 def test_check_rejects_an_unknown_kind():
