@@ -7,10 +7,14 @@ classical-continuum-* checks; this script exists to eyeball the tables at
 finer ladders than the suite runs, e.g.
 
     python3 scripts/continuum_sweep.py --n0 16 --levels 6 --beta 0.8
+
+Exit status 1 when any fitted order is below 1 (or not a number) or any
+ladder is not monotone, as the checks require; 2 on bad input.
 """
 
 import argparse
 import math
+import sys
 
 from qbax.classical import CONTINUUM_MODELS, FIELD_PRESETS, continuum_check
 from qbax.cli import _int_at_least, _positive
@@ -45,9 +49,16 @@ def main() -> None:
             fitted[(model, preset)] = (rep.order, rep.monotone)
 
     print("\nfitted orders (slope of log error vs log kappa):")
+    failed = []
     for (model, preset), (order, monotone) in sorted(fitted.items()):
         flag = "" if monotone else "   [NOT MONOTONE]"
         print(f"  {model:28s} {preset:8s} {order:6.3f}{flag}")
+        if not (order >= 1.0 and monotone):   # nan fails too
+            failed.append(f"{model}/{preset}")
+    if failed:
+        print(f"error: order below 1 or not monotone: {', '.join(failed)}",
+              file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -15,9 +15,10 @@ Three strands:
     (the "up to an additive constant" freedom), and the convergence order
     is the least-squares slope of log error against log spacing;
 
-  * an exact formal calculus on light-cone symbols {Phi, d+Phi, d-Phi,
-    d+d-Phi, e^(c Phi)} with Laurent coefficients in beta and the spectral
-    parameter, enough to state the zero-curvature residual
+  * an exact light-cone calculus: Laurent polynomials (`Coefficient`) in
+    beta, the spectral parameter and the symbols Phi, d+Phi, d-Phi,
+    d+d-Phi, e^(Phi/2), e^(beta Phi/2), with the derivations d+ and d- as
+    Leibniz maps, enough to state the zero-curvature residual
     d-U+ + d+U- - 2[U+, U-] for three connection presets and reduce it
     modulo the equation of motion.
 """
@@ -25,35 +26,24 @@ Three strands:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
 from .coeff import Coefficient
 
 __all__ = [
-    "FieldConfig",
-    "h_liouville",
-    "liouville_bracket_terms",
-    "h_freefield",
-    "h_volterra",
-    "r_prime_self_dual",
-    "h_toda",
-    "toda_total",
-    "ContinuumReport",
-    "continuum_check",
-    "MAX_LEVEL_SITES",
-    "CONTINUUM_MODELS",
-    "default_fields",
-    "sine_fields",
-    "FIELD_PRESETS",
-    "DiffExpr",
-    "DerivationError",
-    "ZC_PRESETS",
-    "zc_residual",
-    "zc_reduced_is_zero",
+    # fields and per-link densities
+    "FieldConfig", "h_liouville", "liouville_bracket_terms", "h_freefield",
+    "h_volterra", "r_prime_self_dual", "h_toda", "toda_total",
+    # continuum sweeps
+    "ContinuumReport", "continuum_check", "MAX_LEVEL_SITES",
+    "CONTINUUM_MODELS", "default_fields", "sine_fields", "FIELD_PRESETS",
+    # light-cone calculus and zero curvature
+    "DerivationError", "ZC_VARS", "symbol", "exp_phi", "derive", "on_shell",
+    "zc_curvature", "ZC_PRESETS", "zc_residual", "zc_reduced_is_zero",
 ]
 
 
@@ -93,7 +83,7 @@ class FieldConfig:
 def _links(x: np.ndarray, periodic: bool) -> tuple[np.ndarray, np.ndarray]:
     """(x_n, x_{n+1}) over links; periodic wraps, open chain drops the last."""
     if periodic:
-        return x, np.roll(x, -1)
+        x = np.concatenate((x, x[:1]))
     return x[:-1], x[1:]
 
 
@@ -247,6 +237,8 @@ class ContinuumReport:
     order: float                # least-squares slope of log error vs log kappa
     constant: float             # per-link additive constant (zero-field value)
     monotone: bool              # errors strictly decreasing under refinement
+    integral: float             # the continuum reference integral
+    grid: int                   # points of its trapezoid grid
 
     def rows(self) -> list[tuple[float, float, float]]:
         """(kappa, error, order) rows; the first order is nan."""
@@ -256,6 +248,30 @@ class ContinuumReport:
 
 # the most sites one ladder level may hold (the registry's largest is 128)
 MAX_LEVEL_SITES = 2**20
+# reference grids run from 64 to 4096 points; a grid's sum is taken once the
+# grid of half as many points agrees with it to 1e-13 relative
+_GRID_MIN, _GRID_MAX, _GRID_RTOL = 64, 4096, 1e-13
+
+
+def _reference_integral(density, phi_fn, pi_fn, beta, length):
+    """(integral, points): the periodic trapezoid integral of the density,
+    with the spectral derivative of the field, on the first doubled grid
+    whose sum agrees with the previous one (else on the largest).  Smooth
+    periodic fields converge exponentially (Trefethen and Weideman, SIAM
+    Review 56, 2014), so most stop at 128 points."""
+    gamma = beta**2 / 8.0
+    n, previous = _GRID_MIN, None
+    while True:
+        xs = np.linspace(0.0, length, n, endpoint=False)
+        h = length / n
+        phi = phi_fn(xs)
+        k = 2j * math.pi * np.fft.rfftfreq(n, d=h)
+        dphi = np.fft.irfft(np.fft.rfft(phi) * k, n=n)
+        total = float(np.sum(density(phi, dphi, pi_fn(xs), beta, gamma)) * h)
+        if n >= _GRID_MAX or (previous is not None and abs(total - previous)
+                              <= _GRID_RTOL * abs(total)):
+            return total, n
+        n, previous = 2 * n, total
 
 
 def continuum_check(model: str, beta: float = 1.0, length: float = 1.0,
@@ -285,23 +301,15 @@ def continuum_check(model: str, beta: float = 1.0, length: float = 1.0,
             raise ValueError(f"n0={n0} over {levels} levels puts more than "
                              f"{MAX_LEVEL_SITES} sites on a level")
         site_counts = [n0 * 2**lev for lev in range(levels)]
-    if len(site_counts) < 2 or any(n < 2 for n in site_counts):
-        raise ValueError("need at least two levels of >= 2 sites each")
+    if len(set(site_counts)) < 2 or any(n < 2 for n in site_counts):
+        raise ValueError("need at least two distinct levels of >= 2 sites "
+                         "each")
     if max(site_counts) > MAX_LEVEL_SITES:
         raise ValueError(f"a level holds more than {MAX_LEVEL_SITES} sites")
     spec = CONTINUUM_MODELS[model]
-    gamma = beta**2 / 8.0
     phi_fn, pi_fn = fields if fields is not None else default_fields(length)
-
-    # periodic trapezoid integral of the density on a fine grid, with the
-    # spectral derivative of the periodic test field
-    xs = np.linspace(0.0, length, 4096, endpoint=False)
-    h = length / len(xs)
-    fk = np.fft.rfft(phi_fn(xs))
-    k = 2j * math.pi * np.fft.rfftfreq(len(xs), d=h)
-    dphi = np.fft.irfft(fk * k, n=len(xs))
-    integral = float(np.sum(spec["density"](
-        phi_fn(xs), dphi, pi_fn(xs), beta, gamma)) * h)
+    integral, grid = _reference_integral(spec["density"], phi_fn, pi_fn,
+                                         beta, length)
 
     # per-link additive constant: the zero-field value at vanishing spacing
     c = float(spec["per_link"](FieldConfig(
@@ -320,261 +328,133 @@ def continuum_check(model: str, beta: float = 1.0, length: float = 1.0,
     orders = tuple(
         math.log2(errors[i] / errors[i + 1]) if errors[i + 1] > 0 else
         float("inf") for i in range(len(errors) - 1))
-    logs = np.log(np.maximum(errors, 1e-300))
-    slope = float(np.polyfit(np.log(kappas), logs, 1)[0])
+    # least-squares slope of log error against log kappa, in closed form
+    xs = [math.log(k) for k in kappas]
+    ys = [math.log(max(e, 1e-300)) for e in errors]
+    xm, ym = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = (sum((x - xm) * (y - ym) for x, y in zip(xs, ys))
+             / sum((x - xm) ** 2 for x in xs))
     return ContinuumReport(
         model=model, kappas=tuple(kappas), errors=tuple(errors),
         orders=orders, order=slope, constant=c,
-        monotone=all(e1 > e2 for e1, e2 in zip(errors, errors[1:])))
+        monotone=all(e1 > e2 for e1, e2 in zip(errors, errors[1:])),
+        integral=integral, grid=grid)
 
 
 # ==========================================================================
-# formal light-cone calculus and zero curvature
+# light-cone calculus and zero curvature
 # ==========================================================================
 
 class DerivationError(ValueError):
     """A derivative left the closed symbol set (e.g. d+ of d+Phi)."""
 
 
-_BL = ("beta", "lam")
-
-# term key: (power of d+Phi, power of d-Phi, power of d+d-Phi,
-#            power of Phi, (r, s) with the exponential factor e^((r+s*beta) Phi))
-_Key = tuple[int, int, int, int, tuple[Fraction, Fraction]]
-
-
-def _coeff(value=1, **powers: int) -> Coefficient:
-    return Coefficient.monomial(_BL, value, **powers)
+# A light-cone expression is a Laurent polynomial over ZC_VARS: beta, the
+# spectral parameter lam, Phi, Pp = d+Phi, Pm = d-Phi, M = d+d-Phi and the
+# exponentials X = e^(Phi/2), Y = e^(beta Phi/2), so that a connection entry
+# e^((r + s beta) Phi) with half-integer r, s is the monomial X^(2r) Y^(2s).
+ZC_VARS = ("beta", "lam", "Phi", "Pp", "Pm", "M", "X", "Y")
+_BETA, _PHI, _PP, _PM, _M, _X, _Y = 0, 2, 3, 4, 5, 6, 7
 
 
-class DiffExpr:
-    """Formal sums of light-cone monomials with Laurent coefficients.
-
-    Monomials are products of powers of d+Phi, d-Phi, d+d-Phi, Phi and a
-    single merged exponential e^((r + s beta) Phi) with rational r, s;
-    coefficients are Laurent polynomials in beta and the spectral
-    parameter lam.  The derivations d+ and d- act by the Leibniz rule with
-    d(e^(c Phi)) = c (dPhi) e^(c Phi); they are only defined while the
-    result stays inside the symbol set, so d+ rejects monomials already
-    containing d+Phi or the mixed symbol (and symmetrically for d-).
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[_Key, Coefficient] | None = None):
-        self.terms: dict[_Key, Coefficient] = {}
-        if terms:
-            for k, v in terms.items():
-                if not v.is_zero():
-                    self.terms[k] = v
-
-    # ------------------------------------------------------------ builders
-    @classmethod
-    def zero(cls) -> "DiffExpr":
-        return cls()
-
-    @classmethod
-    def scalar(cls, coeff: Coefficient) -> "DiffExpr":
-        return cls({(0, 0, 0, 0, (Fraction(0), Fraction(0))): coeff})
-
-    @classmethod
-    def number(cls, value) -> "DiffExpr":
-        return cls.scalar(_coeff(value))
-
-    @classmethod
-    def dplus_phi(cls) -> "DiffExpr":
-        return cls({(1, 0, 0, 0, (Fraction(0), Fraction(0))): _coeff()})
-
-    @classmethod
-    def dminus_phi(cls) -> "DiffExpr":
-        return cls({(0, 1, 0, 0, (Fraction(0), Fraction(0))): _coeff()})
-
-    @classmethod
-    def mixed_phi(cls) -> "DiffExpr":
-        return cls({(0, 0, 1, 0, (Fraction(0), Fraction(0))): _coeff()})
-
-    @classmethod
-    def phi(cls) -> "DiffExpr":
-        return cls({(0, 0, 0, 1, (Fraction(0), Fraction(0))): _coeff()})
-
-    @classmethod
-    def exp_phi(cls, r=0, s=0) -> "DiffExpr":
-        """e^((r + s beta) Phi) with rational r, s."""
-        return cls({(0, 0, 0, 0, (Fraction(r), Fraction(s))): _coeff()})
-
-    @classmethod
-    def lam(cls, power: int = 1) -> "DiffExpr":
-        return cls.scalar(_coeff(1, lam=power))
-
-    @classmethod
-    def beta(cls, power: int = 1) -> "DiffExpr":
-        return cls.scalar(_coeff(1, beta=power))
-
-    # ---------------------------------------------------------- arithmetic
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DiffExpr) and self.terms == other.terms
-
-    def __add__(self, other: "DiffExpr") -> "DiffExpr":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, Coefficient.zero(_BL)) + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return DiffExpr(out)
-
-    def __neg__(self) -> "DiffExpr":
-        return DiffExpr({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "DiffExpr") -> "DiffExpr":
-        return self + (-other)
-
-    def __mul__(self, other: "DiffExpr") -> "DiffExpr":
-        out: dict[_Key, Coefficient] = {}
-        for (a1, b1, m1, f1, (r1, s1)), c1 in self.terms.items():
-            for (a2, b2, m2, f2, (r2, s2)), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2, m1 + m2, f1 + f2, (r1 + r2, s1 + s2))
-                s = out.get(k, Coefficient.zero(_BL)) + c1 * c2
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return DiffExpr(out)
-
-    def scale(self, value) -> "DiffExpr":
-        return DiffExpr({k: v.scale(value) for k, v in self.terms.items()})
-
-    def scale_coeff(self, coeff: Coefficient) -> "DiffExpr":
-        return DiffExpr({k: v * coeff for k, v in self.terms.items()})
-
-    # ---------------------------------------------------------- derivations
-    def _derive(self, plus: bool) -> "DiffExpr":
-        out = DiffExpr.zero()
-        dphi = DiffExpr.dplus_phi() if plus else DiffExpr.dminus_phi()
-        for key, coeff in self.terms.items():
-            a, b, m, f, (r, s) = key
-            own, other = (a, b) if plus else (b, a)
-            if own > 0 or m > 0:
-                sym = "d+Phi" if plus else "d-Phi"
-                raise DerivationError(
-                    f"d{'+' if plus else '-'} of a monomial containing {sym} "
-                    "or d+d-Phi leaves the symbol set")
-            base = DiffExpr({key: coeff})
-            # d+(d-Phi^n) = n d-Phi^(n-1) d+d-Phi (and symmetrically)
-            if other > 0:
-                new_key = list(key)
-                new_key[1 if plus else 0] = other - 1
-                new_key[2] = m + 1
-                out = out + DiffExpr(
-                    {(new_key[0], new_key[1], new_key[2], new_key[3],
-                      key[4]): coeff.scale(other)})
-            # d(Phi^f) -> f Phi^(f-1) dPhi
-            if f > 0:
-                out = out + DiffExpr(
-                    {(a, b, m, f - 1, (r, s)): coeff.scale(f)}) * dphi
-            # d(e^(c Phi)) -> c dPhi e^(c Phi), c = r + s beta
-            if r or s:
-                c_coeff = (Coefficient.rational(r, _BL)
-                           + Coefficient.param("beta", 1, _BL, scale=s))
-                out = out + (base * dphi).scale_coeff(c_coeff)
-        return out
-
-    def d_plus(self) -> "DiffExpr":
-        return self._derive(True)
-
-    def d_minus(self) -> "DiffExpr":
-        return self._derive(False)
-
-    # ------------------------------------------------------------ reduction
-    def reduce_mixed(self, replacement: "DiffExpr") -> "DiffExpr":
-        """Substitute every power of d+d-Phi by `replacement`."""
-        out = DiffExpr.zero()
-        for (a, b, m, f, e), coeff in self.terms.items():
-            term = DiffExpr({(a, b, 0, f, e): coeff})
-            for _ in range(m):
-                term = term * replacement
-            out = out + term
-        return out
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (a, b, m, f, (r, s)), coeff in sorted(
-                self.terms.items(), key=lambda kv: str(kv[0])):
-            factors = [f"({coeff})"]
-            for pw, nm in ((a, "d+Phi"), (b, "d-Phi"), (m, "d+d-Phi"),
-                           (f, "Phi")):
-                if pw:
-                    factors.append(nm if pw == 1 else f"{nm}^{pw}")
-            if r or s:
-                factors.append(f"exp(({r}{'+' if s >= 0 else ''}"
-                               f"{s}*beta)*Phi)")
-            bits.append(" ".join(factors))
-        return " + ".join(bits)
+def symbol(value=1, **powers: int) -> Coefficient:
+    """value times a monomial over ZC_VARS, e.g. symbol(2, Phi=1, Pp=1)."""
+    return Coefficient.monomial(ZC_VARS, value, **powers)
 
 
-def _mat(rows):
-    return [list(r) for r in rows]
+def exp_phi(r=0, s=0, value=1, **powers: int) -> Coefficient:
+    """value e^((r + s beta) Phi) times a monomial; ValueError unless r and
+    s lie on the half-integer lattice."""
+    x, y = 2 * Fraction(r), 2 * Fraction(s)
+    if x.denominator != 1 or y.denominator != 1:
+        raise ValueError(f"e^(({r} + {s} beta) Phi) is off the half-integer "
+                         "lattice")
+    return symbol(value, X=int(x), Y=int(y), **powers)
 
 
-def _mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+def derive(expr: Coefficient, plus: bool = True) -> Coefficient:
+    """d+ (or d- with plus=False) of expr by the Leibniz rule: d+ Pm^n =
+    n Pm^(n-1) M, d+ Phi^f = f Phi^(f-1) Pp and d+ X^x Y^y = (x + y beta)/2
+    Pp X^x Y^y, and d- with Pp and Pm swapped.  d+ of Pp or M (d- of Pm or
+    M) would leave the symbols and raises DerivationError."""
+    own, other = (_PP, _PM) if plus else (_PM, _PP)
+    out: dict[tuple[int, ...], Fraction] = {}
+
+    def add(value, expo, *steps):
+        if value:
+            e = list(expo)
+            for i, step in steps:
+                e[i] += step
+            out[tuple(e)] = out.get(tuple(e), 0) + value
+
+    for expo, v in expr.terms.items():
+        if expo[own] or expo[_M]:
+            raise DerivationError(
+                f"d{'+' if plus else '-'} of a monomial containing "
+                f"{ZC_VARS[own]} or M leaves the symbol set")
+        add(v * expo[other], expo, (other, -1), (_M, 1))
+        add(v * expo[_PHI], expo, (_PHI, -1), (own, 1))
+        if expo[_X] or expo[_Y]:
+            add(Fraction(v * expo[_X], 2), expo, (own, 1))
+            add(Fraction(v * expo[_Y], 2), expo, (own, 1), (_BETA, 1))
+    return Coefficient(ZC_VARS, out)
 
 
-def _mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+def on_shell(expr: Coefficient, eom: Coefficient) -> Coefficient:
+    """expr with every power M^m of d+d-Phi replaced by eom^m."""
+    out = Coefficient.zero(ZC_VARS)
+    for m in expr.param_degrees("M"):
+        out = out + expr.coefficient_of("M", m) * eom**m
+    return out
 
 
-def _mat_mul(A, B):
-    n = len(A)
-    return [[sum((A[i][k] * B[k][j] for k in range(n)), DiffExpr.zero())
-             for j in range(n)] for i in range(n)]
+_derive_all = np.frompyfunc(derive, 2, 1)
+_on_shell_all = np.frompyfunc(on_shell, 2, 1)
 
 
-def _mat_map(A, fn):
-    return [[fn(a) for a in row] for row in A]
+def zc_curvature(u_plus: np.ndarray, u_minus: np.ndarray, eom: Coefficient):
+    """(raw, reduced) for a connection given as 2x2 object arrays over
+    ZC_VARS: raw = d-U+ + d+U- - 2 [U+, U-] and reduced = raw with d+d-Phi
+    replaced by the equation of motion d+d-Phi = eom."""
+    raw = (_derive_all(u_plus, False) + _derive_all(u_minus, True)
+           - 2 * (u_plus @ u_minus - u_minus @ u_plus))
+    return raw, _on_shell_all(raw, eom)
+
+
+def _matrix(a, b, c, d) -> np.ndarray:
+    return np.array([[a, b], [c, d]], dtype=object)
 
 
 def _zc_liouville():
-    """Light-cone connection of the lattice-Liouville continuum limit."""
-    E = DiffExpr
-    a_plus = E.beta(1).scale(Fraction(1, 8)) * E.dplus_phi()
-    a_minus = E.beta(1).scale(Fraction(1, 8)) * E.dminus_phi()
-    u_plus = _mat([[a_plus, E.lam(1) * E.exp_phi(s=Fraction(-1, 2))],
-                   [E.lam(1) * E.exp_phi(s=Fraction(1, 2)), -a_plus]])
-    u_minus = _mat([[a_minus, E.zero()],
-                    [E.lam(-1) * E.exp_phi(s=Fraction(-1, 2)), -a_minus]])
-    # equation of motion: d+d-Phi = (8/beta) e^(-beta Phi)
-    eom = E.beta(-1).scale(8) * E.exp_phi(s=-1)
-    return u_plus, u_minus, eom
+    """Light-cone connection of the lattice-Liouville continuum limit, with
+    d+d-Phi = (8/beta) e^(-beta Phi)."""
+    a = Fraction(1, 8)
+    u_plus = _matrix(symbol(a, beta=1, Pp=1), exp_phi(0, -0.5, lam=1),
+                     exp_phi(0, 0.5, lam=1), symbol(-a, beta=1, Pp=1))
+    u_minus = _matrix(symbol(a, beta=1, Pm=1), symbol(0),
+                      exp_phi(0, -0.5, lam=-1), symbol(-a, beta=1, Pm=1))
+    return u_plus, u_minus, exp_phi(0, -1, 8, beta=-1)
 
 
 def _zc_free_volterra():
-    """Connection of the Volterra-route free field (field phi, weight 2)."""
-    E = DiffExpr
-    a_plus = E.dplus_phi().scale(Fraction(1, 2))
-    a_minus = E.dminus_phi().scale(Fraction(1, 2))
-    u_plus = _mat([[a_plus, E.lam(1) * E.exp_phi(r=-2)],
-                   [E.lam(1) * E.exp_phi(r=2), -a_plus]])
-    u_minus = _mat([[a_minus, E.zero()], [E.zero(), -a_minus]])
-    return u_plus, u_minus, E.zero()  # d+d-phi = 0
+    """Connection of the Volterra-route free field (field phi, weight 2),
+    with d+d-phi = 0."""
+    a = Fraction(1, 2)
+    u_plus = _matrix(symbol(a, Pp=1), exp_phi(-2, 0, lam=1),
+                     exp_phi(2, 0, lam=1), symbol(-a, Pp=1))
+    u_minus = _matrix(symbol(a, Pm=1), symbol(0), symbol(0), symbol(-a, Pm=1))
+    return u_plus, u_minus, symbol(0)
 
 
 def _zc_free_liouville():
-    """Connection of the Liouville-route free field (lower triangular)."""
-    E = DiffExpr
-    a_plus = E.beta(1).scale(Fraction(1, 8)) * E.dplus_phi()
-    a_minus = E.beta(1).scale(Fraction(1, 8)) * E.dminus_phi()
-    u_plus = _mat([[a_plus, E.zero()],
-                   [E.lam(1) * E.exp_phi(s=Fraction(1, 2)), -a_plus]])
-    u_minus = _mat([[a_minus, E.zero()],
-                    [E.lam(-1) * E.exp_phi(s=Fraction(-1, 2)), -a_minus]])
-    return u_plus, u_minus, E.zero()  # d+d-Phi = 0
+    """Connection of the Liouville-route free field (lower triangular), with
+    d+d-Phi = 0."""
+    a = Fraction(1, 8)
+    u_plus = _matrix(symbol(a, beta=1, Pp=1), symbol(0),
+                     exp_phi(0, 0.5, lam=1), symbol(-a, beta=1, Pp=1))
+    u_minus = _matrix(symbol(a, beta=1, Pm=1), symbol(0),
+                      exp_phi(0, -0.5, lam=-1), symbol(-a, beta=1, Pm=1))
+    return u_plus, u_minus, symbol(0)
 
 
 ZC_PRESETS: dict[str, Callable] = {
@@ -585,24 +465,13 @@ ZC_PRESETS: dict[str, Callable] = {
 
 
 def zc_residual(preset: str):
-    """Raw and EOM-reduced zero-curvature residual of a preset connection.
-
-    Returns (raw, reduced): 2x2 matrices of DiffExpr with
-    raw = d-U+ + d+U- - 2 [U+, U-] and reduced = raw modulo the preset's
-    equation of motion for the mixed derivative.
-    """
+    """Raw and EOM-reduced zero-curvature residual of a preset connection,
+    as zc_curvature returns them: two 2x2 object arrays of Coefficient."""
     if preset not in ZC_PRESETS:
         raise ValueError(f"unknown preset {preset!r}; known: {sorted(ZC_PRESETS)}")
-    u_plus, u_minus, eom = ZC_PRESETS[preset]()
-    commutator = _mat_sub(_mat_mul(u_plus, u_minus), _mat_mul(u_minus, u_plus))
-    raw = _mat_sub(
-        _mat_add(_mat_map(u_plus, DiffExpr.d_minus),
-                 _mat_map(u_minus, DiffExpr.d_plus)),
-        _mat_map(commutator, lambda e: e.scale(2)))
-    reduced = _mat_map(raw, lambda e: e.reduce_mixed(eom))
-    return raw, reduced
+    return zc_curvature(*ZC_PRESETS[preset]())
 
 
 def zc_reduced_is_zero(preset: str) -> bool:
     _, reduced = zc_residual(preset)
-    return all(e.is_zero() for row in reduced for e in row)
+    return all(e.is_zero() for e in reduced.flat)

@@ -194,7 +194,6 @@ def _log_sinh(z: np.ndarray) -> np.ndarray:
 _grid = lru_cache(maxsize=64)(lambda omega, height, steps: [np.zeros(0)] * 3)
 
 
-@lru_cache(maxsize=256)
 def _rule(omega: complex, height: float, steps: float, L: float):
     """Rows -J..J of the rule on Im t = c, J the fewest that reach |t| = L.
 
@@ -207,7 +206,14 @@ def _rule(omega: complex, height: float, steps: float, L: float):
     cap = math.pi * min(omega.real, (1.0 / omega).real)
     c = height * cap
     h = 2.0 * math.pi * min(c, cap - c) / steps
-    J = math.ceil(L / (_M * h))
+    return _rows(omega, height, steps, c, h, math.ceil(L / (_M * h)))
+
+
+@lru_cache(maxsize=256)
+def _rows(omega: complex, height: float, steps: float, c: float, h: float,
+          J: int):
+    """_rule's slices, cached by J, which many L share (c and h follow from
+    omega, height and steps)."""
     if J * _M > _MAX_K:
         raise DilogDomainError(f"the rule would need {(2 * J + 1) * _M} "
                                "nodes: steps or truncation is too large")
@@ -312,10 +318,13 @@ def _rel(lhs, rhs):
 # --------------------------------------------------------------------------
 
 def check_shift(omega: float, x, p: DilogParams | None = None):
-    """Relative defect of S(q^-1 x) == (1 + x) S(q x) at real x > 0."""
+    """Relative defect of S(q^-1 x) == (1 + x) S(q x) at real x > 0, both
+    sides on the line, so that x > 1 tests its own values rather than those
+    at 1/x; past |log x| = 10 the line is inexact: invert."""
     p = p or DilogParams(omega)
     x, ell = _positive(x)
-    lhs, rhs = s_omega_log([ell - p.log_q, ell + p.log_q], p)
+    lhs, rhs = s_omega_log([ell - p.log_q, ell + p.log_q], p,
+                           np.abs(ell).max(initial=0) > 10)
     return _rel(lhs, (1.0 + x) * rhs)
 
 

@@ -10,8 +10,8 @@ from qbax.classical import (
     CONTINUUM_MODELS,
     FIELD_PRESETS,
     MAX_LEVEL_SITES,
+    ZC_PRESETS,
     DerivationError,
-    DiffExpr,
     FieldConfig,
     continuum_check,
     default_fields,
@@ -22,7 +22,12 @@ from qbax.classical import (
     liouville_bracket_terms,
     r_prime_self_dual,
     sine_fields,
+    derive,
+    exp_phi,
+    on_shell,
+    symbol,
     toda_total,
+    zc_curvature,
     zc_reduced_is_zero,
     zc_residual,
 )
@@ -179,42 +184,92 @@ def test_continuum_ladder_at_the_size_limit_runs():
     assert report.kappas == (1 / 16, 2.0**-20)
 
 
+def _trapezoid_integral(model, fields, beta, n):
+    """The model's density integrated over [0, 1] by the n-point periodic
+    trapezoid rule, with the spectral derivative of the field."""
+    phi_fn, pi_fn = fields
+    xs = np.arange(n) / n
+    phi = phi_fn(xs)
+    k = 2j * math.pi * np.fft.rfftfreq(n, d=1.0 / n)
+    dphi = np.fft.irfft(np.fft.rfft(phi) * k, n=n)
+    density = CONTINUUM_MODELS[model]["density"]
+    return float(np.mean(density(phi, dphi, pi_fn(xs), beta, beta**2 / 8)))
+
+
+@pytest.mark.parametrize("beta", [0.8, 1.0, 2.0])
+@pytest.mark.parametrize("preset", sorted(FIELD_PRESETS))
+@pytest.mark.parametrize("model", sorted(CONTINUUM_MODELS))
+def test_reference_integral_matches_the_4096_point_rule(model, preset, beta):
+    fields = FIELD_PRESETS[preset](1.0)
+    report = continuum_check(model, beta=beta, fields=fields, n0=8, levels=2)
+    reference = _trapezoid_integral(model, fields, beta, 4096)
+    assert abs(report.integral - reference) <= 1e-13 * abs(reference)
+    assert report.grid <= 256   # smooth fields stop long before 4096
+
+
+def test_a_high_mode_refines_the_reference_grid():
+    fields = (lambda x: 0.3 * np.sin(2 * math.pi * 40 * x),
+              lambda x: 0.2 * np.cos(2 * math.pi * x))
+    report = continuum_check("liouville", beta=1.0, fields=fields,
+                             site_counts=[256, 512])
+    assert report.grid > 128
+    reference = _trapezoid_integral("liouville", fields, 1.0, 2**14)
+    assert abs(report.integral - reference) <= 1e-12 * abs(reference)
+
+
+@pytest.mark.parametrize("site_counts", [None, [10, 20, 40], [12, 16, 40, 50]])
+def test_order_is_the_least_squares_slope(site_counts):
+    report = continuum_check("liouville", site_counts=site_counts)
+    slope = np.polyfit(np.log(report.kappas), np.log(report.errors), 1)[0]
+    assert report.order == pytest.approx(slope, abs=1e-12)
+
+
+def test_equal_levels_are_refused():
+    with pytest.raises(ValueError, match="distinct"):
+        continuum_check("liouville", site_counts=[16, 16])
+
+
 # ------------------------------------------------- light-cone differential
 
 def test_leibniz_rule_on_a_square():
-    phi = DiffExpr.phi()
-    assert (phi * phi).d_plus() == DiffExpr.number(2) * phi * DiffExpr.dplus_phi()
+    assert derive(symbol(Phi=2)) == symbol(2, Phi=1, Pp=1)
+    assert derive(symbol(Phi=2), plus=False) == symbol(2, Phi=1, Pm=1)
 
 
 def test_exponential_derivation_rule():
-    expr = DiffExpr.exp_phi(s=-1)
-    expected = DiffExpr.beta(1).scale(-1) * DiffExpr.dplus_phi() * expr
-    assert expr.d_plus() == expected
-    # rational r and beta-linear s combine in the prefactor
-    expr = DiffExpr.exp_phi(r=2, s=Fraction(1, 2))
-    prefactor = (DiffExpr.number(2)
-                 + DiffExpr.beta(1).scale(Fraction(1, 2)))
-    assert expr.d_minus() == prefactor * DiffExpr.dminus_phi() * expr
+    expr = exp_phi(s=-1)
+    assert derive(expr) == exp_phi(s=-1, value=-1, beta=1, Pp=1)
+    # rational r and beta-linear s combine in the prefactor (2 + beta/2)
+    expr = exp_phi(r=2, s=Fraction(1, 2))
+    assert derive(expr, plus=False) == (exp_phi(2, 0.5, 2, Pm=1)
+                                        + exp_phi(2, 0.5, 0.5, beta=1, Pm=1))
+    assert expr == symbol(X=4, Y=1)
 
 
 def test_derivations_leave_the_symbol_set_loudly():
-    with pytest.raises(DerivationError):
-        DiffExpr.dplus_phi().d_plus()
-    with pytest.raises(DerivationError):
-        DiffExpr.mixed_phi().d_plus()
-    with pytest.raises(DerivationError):
-        DiffExpr.dminus_phi().d_minus()
+    mixed = derive(derive(symbol(Phi=1)), plus=False)
+    for expr, plus in ((symbol(Pp=1), True), (mixed, True),
+                       (symbol(Pm=1), False), (mixed, False)):
+        with pytest.raises(DerivationError):
+            derive(expr, plus)
+
+
+def test_exponents_off_the_half_integer_lattice_raise():
+    assert exp_phi(-1.5, 0.5) == symbol(X=-3, Y=1)
+    for r, s in ((Fraction(1, 3), 0), (0, 0.3), (0.25, 0.5)):
+        with pytest.raises(ValueError, match="half-integer lattice"):
+            exp_phi(r, s)
 
 
 def test_mixed_symbol_creation_and_reduction():
-    mixed = DiffExpr.phi().d_plus().d_minus()
-    assert mixed == DiffExpr.mixed_phi()
-    replacement = DiffExpr.exp_phi(s=-1).scale(3)
-    assert mixed.reduce_mixed(replacement) == replacement
-    square = mixed * mixed
-    assert square.reduce_mixed(replacement) == replacement * replacement
+    mixed = derive(derive(symbol(Phi=1)), plus=False)
+    assert mixed == symbol(M=1)
+    eom = exp_phi(s=-1, value=3)
+    assert on_shell(mixed, eom) == eom
+    assert on_shell(mixed * mixed + symbol(2, M=1, Pp=1), eom) == (
+        eom * eom + eom * symbol(2, Pp=1))
     # terms without the mixed symbol pass through untouched
-    assert DiffExpr.phi().reduce_mixed(replacement) == DiffExpr.phi()
+    assert on_shell(symbol(Phi=1), eom) == symbol(Phi=1)
 
 
 def test_zero_curvature_residuals():
@@ -231,8 +286,17 @@ def test_zero_curvature_residuals():
                                     "free-liouville"])
 def test_zero_curvature_closes_on_shell(preset):
     raw, _ = zc_residual(preset)
-    assert any(not e.is_zero() for row in raw for e in row)
+    raw_terms = {"liouville": 4, "free-volterra": 2, "free-liouville": 2}
+    assert sum(len(e.terms) for row in raw for e in row) == raw_terms[preset]
     assert zc_reduced_is_zero(preset)
+
+
+def test_a_perturbed_connection_does_not_close():
+    # a spurious constant in the upper corner of U-: three terms survive
+    u_plus, u_minus, eom = ZC_PRESETS["liouville"]()
+    u_minus[0, 1] = symbol(1)
+    _, reduced = zc_curvature(u_plus, u_minus, eom)
+    assert sum(len(e.terms) for e in reduced.flat) == 3
 
 
 def test_zero_curvature_unknown_preset():

@@ -179,6 +179,31 @@ def test_large_positive_log_x_is_certified():
     assert check_unitarity(0.5, x).max() < 1e-14
 
 
+def test_rules_are_shared_by_lines_of_equal_row_count():
+    # rows -J..J depend on J alone, so two lengths within one row share
+    # one cached rule
+    om = 0.43   # an omega no other test uses
+    h = 2.0 * math.pi * (0.5 * math.pi * om) / 80   # c = cap / 2
+    first = qdilog._rule(om, 0.5, 80, 10.1 * 32 * h)
+    assert qdilog._rule(om, 0.5, 80, 10.9 * 32 * h) is first
+    assert len(first[0]) == 2 * 11 + 1
+    assert len(qdilog._rule(om, 0.5, 80, 11.1 * 32 * h)[0]) == 2 * 12 + 1
+
+
+def test_shift_tests_its_own_values_above_one():
+    # on the line, not through the inversion relation: under a starved
+    # rule (16 steps, certificate lifted) the defect at x > 1 is its own,
+    # not a copy of the one at 1/x
+    p = DilogParams(0.5, steps=16, tol=1e3)
+    e = np.array([0.5, 1.0, 1.5, 2.0])
+    above, below = check_shift(0.5, 10.0**e, p), check_shift(0.5, 10.0**-e, p)
+    assert (below > 1e-6).all()
+    assert (above > 1.1 * below).all()
+    # with the default rule the line is exact to rounding on the registry's
+    # grid, 0.01 <= x <= 100
+    assert check_shift(0.5, 10.0 ** np.linspace(-2, 2, 9)).max() < 1e-14
+
+
 def _batch_matches_denser_rule(om, edge):
     ells = [0.4, -1.2 + 0.5j, edge, 2.0 - 1.0j, -edge]
     batch = s_omega_log(ells, DilogParams(om))

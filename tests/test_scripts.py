@@ -102,6 +102,29 @@ def test_charge_tower_exits_1_when_a_value_exceeds_the_tolerance(
     assert "exceeds 1e-10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change", [{"monotone": False}, {"order": 0.5},
+                                    {"order": float("nan")}])
+def test_continuum_sweep_exits_1_when_a_ladder_fails(monkeypatch, capsys,
+                                                     change):
+    import dataclasses
+
+    import qbax.classical
+
+    real = qbax.classical.continuum_check
+
+    def one_bad(model, **kwargs):
+        rep = real(model, **kwargs)
+        return dataclasses.replace(rep, **change) if model == "liouville" \
+            else rep
+
+    monkeypatch.setattr(qbax.classical, "continuum_check", one_bad)
+    assert _run(monkeypatch, "continuum_sweep.py",
+                SMALL_ARGS["continuum_sweep.py"]) == 1
+    err = capsys.readouterr().err
+    assert "liouville/default, liouville/sine" in err
+    assert "freefield" not in err
+
+
 @pytest.mark.parametrize("sites", ["4", "3,1000"])
 def test_charge_tower_bounds_the_dimension_before_building(monkeypatch,
                                                            capsys, sites):
