@@ -68,8 +68,9 @@ class FieldConfig:
             raise ValueError("phi and pi must be equal-length 1d arrays")
         if len(self.phi) < 2:
             raise ValueError("need at least two sites")
-        if self.kappa <= 0 or self.beta <= 0:
-            raise ValueError("kappa and beta must be positive")
+        if not (0 < self.kappa < math.inf and 0 < self.beta < math.inf):
+            raise ValueError("kappa and beta must be finite and positive, "
+                             f"got {self.kappa!r} and {self.beta!r}")
 
     @property
     def gamma(self) -> float:
@@ -290,11 +291,16 @@ def continuum_check(model: str, beta: float = 1.0, length: float = 1.0,
     would instead degenerate into interpolation at the finest kappa and
     corrupt the order estimate.  The least-squares element here is the
     convergence order: the slope of log error against log kappa.  A level
-    of more than MAX_LEVEL_SITES sites raises ValueError.
+    of more than MAX_LEVEL_SITES sites or of a site count that is not an
+    int, or a beta or length that is not finite and positive, raises
+    ValueError.
     """
     if model not in CONTINUUM_MODELS:
         raise ValueError(
             f"unknown model {model!r}; known: {sorted(CONTINUUM_MODELS)}")
+    if not (0 < beta < math.inf and 0 < length < math.inf):
+        raise ValueError("beta and length must be finite and positive, "
+                         f"got {beta!r} and {length!r}")
     if site_counts is None:
         # the largest level is n0 * 2**(levels - 1); compare without forming it
         if levels > 0 and n0 > MAX_LEVEL_SITES >> (levels - 1):
@@ -306,6 +312,8 @@ def continuum_check(model: str, beta: float = 1.0, length: float = 1.0,
                          "each")
     if max(site_counts) > MAX_LEVEL_SITES:
         raise ValueError(f"a level holds more than {MAX_LEVEL_SITES} sites")
+    if not all(isinstance(n, (int, np.integer)) for n in site_counts):
+        raise ValueError(f"levels must be whole numbers: {site_counts!r}")
     spec = CONTINUUM_MODELS[model]
     phi_fn, pi_fn = fields if fields is not None else default_fields(length)
     integral, grid = _reference_integral(spec["density"], phi_fn, pi_fn,

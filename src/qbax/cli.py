@@ -64,14 +64,6 @@ def _run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=_positive, default=None,
                         help="override every numeric tolerance "
                              "(default: per-check pinned values)")
-    parser.add_argument("--max-sites", type=_int_at_least(1), default=3,
-                        help="chain-length bound for the numeric rep-* "
-                             "transfer checks, which use at most 3 sites "
-                             "(default 3); the exact transfer-commute-* "
-                             "checks always use 2 and 3 sites")
-    parser.add_argument("--jobs", type=_int_at_least(1), default=1,
-                        help="worker processes (default 1; results are "
-                             "merged in registry order either way)")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format (default text)")
     parser.add_argument("--timing", action="store_true",
@@ -81,8 +73,7 @@ def _run_flags(parser: argparse.ArgumentParser) -> None:
 
 def _emit_suite(args: argparse.Namespace, pattern: str | None) -> int:
     from .registry import run_suite
-    report = run_suite(pattern=pattern, seed=args.seed, tol=args.tol,
-                       max_sites=args.max_sites, jobs=args.jobs)
+    report = run_suite(pattern=pattern, seed=args.seed, tol=args.tol)
     if args.format == "json":
         print(report.to_json(timing=args.timing))
     else:

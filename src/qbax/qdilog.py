@@ -102,14 +102,12 @@ class DilogParams:
     """Evaluation parameters: w and the quadrature knobs.
 
     omega must lie strictly inside (0, 1).  The trapezoid step is 2 pi d /
-    steps on a strip of half-width d.  truncation=None picks the line's
-    half-length L from the slowest decay rate among a call's arguments; a
-    fixed value is used instead (both rounded up to whole rows).
+    steps on a strip of half-width d.  The line's half-length follows from
+    the slowest decay rate among a call's arguments.
     """
 
     omega: float
     steps: float = 80
-    truncation: float | None = None
     tol: float = 1e-9
 
     def __post_init__(self):
@@ -119,8 +117,6 @@ class DilogParams:
         if not (math.isfinite(self.steps) and self.steps >= 4):
             raise DilogDomainError(
                 f"steps must be a finite number >= 4, got {self.steps!r}")
-        if not (self.truncation is None or 0 < self.truncation < math.inf):
-            raise DilogDomainError("truncation must be positive and finite")
         if not self.tol > 0:   # nan too
             raise DilogDomainError("tolerance must be positive")
 
@@ -216,7 +212,7 @@ def _rows(omega: complex, height: float, steps: float, c: float, h: float,
     omega, height and steps)."""
     if J * _M > _MAX_K:
         raise DilogDomainError(f"the rule would need {(2 * J + 1) * _M} "
-                               "nodes: steps or truncation is too large")
+                               "nodes: steps is too large")
     grid = _grid(omega, height, steps)
     if len(grid[0]) < 2 * J + 1:
         n = max(J, min(len(grid[0]) - 1, _MAX_K // _M))
@@ -232,12 +228,12 @@ def _rows(omega: complex, height: float, steps: float, c: float, h: float,
 
 
 def _eval_log(ell, omega: complex, steps: float, tol: float,
-              truncation=None, height=0.5, invert=True):
+              height=0.5, invert=True):
     """S at each ell: a complex for a scalar, else an array of its shape.
 
-    All share the line the slowest-decaying one needs, unless `truncation`
-    fixes it.  With `invert`, an ell with Re(ell / omega) > 0 takes S(e^-ell)
-    and the inversion phase, refused once it rounds off by more than tol."""
+    All share the line the slowest-decaying one needs.  With `invert`, an
+    ell with Re(ell / omega) > 0 takes S(e^-ell) and the inversion phase,
+    refused once it rounds off by more than tol."""
     shape = np.shape(ell)
     ells = np.ravel(ell).astype(complex).tolist() if shape else [complex(ell)]
     if not ells:
@@ -250,8 +246,7 @@ def _eval_log(ell, omega: complex, steps: float, tol: float,
             f"Im(log x) = {ells[i].imag:.4f} is outside the decay strip "
             f"|Im log x| < pi (1 + omega^2) = {math.pi * (1 + omega**2):.4f} "
             "(or too close to its edge)")
-    a, low, W, b = _rule(omega, height, steps, _TAIL_LOG / rate
-                         if truncation is None else float(truncation))
+    a, low, W, b = _rule(omega, height, steps, _TAIL_LOG / rate)
     flip = [i for i, u in enumerate(us) if invert and u.imag < 0]
     u = np.array([-u if invert and u.imag < 0 else u for u in us])[:, None]
     log_s, coarse = ((np.exp(u * a + low) @ W
@@ -281,7 +276,7 @@ def s_omega_log(ell, p: DilogParams, invert: bool = True):
     evaluated in one pass on one line and certified per value.  invert=False
     keeps every ell on the line, which is accurate only for modest Re ell.
     """
-    return _eval_log(ell, p.omega, p.steps, p.tol, p.truncation, 0.5, invert)
+    return _eval_log(ell, p.omega, p.steps, p.tol, 0.5, invert)
 
 
 def s_omega(x: complex, p: DilogParams) -> complex:

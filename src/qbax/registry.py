@@ -21,8 +21,7 @@ summary.
 The runner times each check, collects CheckResult rows, and assembles a
 SuiteReport that is deterministic for a fixed seed: each check draws from
 one stdlib random.Random seeded by (seed, crc32(check_id)), whatever the
-numpy release; results are merged in registry order even when fanned out
-over worker processes, and the JSON form omits wall times unless asked.
+numpy release; the JSON form omits wall times unless asked.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import cmath
 import fnmatch
 import json
 import math
-import os
 import random
 import time
 import zlib
@@ -83,7 +81,6 @@ __all__ = [
     "Check",
     "CheckResult",
     "SuiteReport",
-    "SkipCheck",
     "build_checks",
     "run_check",
     "run_suite",
@@ -97,15 +94,11 @@ __all__ = [
 # check/record types
 # --------------------------------------------------------------------------
 
-class SkipCheck(Exception):
-    """Raised inside a check body to mark it skipped (reason in args)."""
-
-
 @dataclass(frozen=True)
 class CheckResult:
     check_id: str
     claim: str
-    status: str          # "pass" | "fail" | "skipped"
+    status: str          # "pass" | "fail"
     summary: str
     seconds: float
 
@@ -115,8 +108,6 @@ def run_check(check: Check) -> CheckResult:
     try:
         ok, summary = check.fn()
         status = "pass" if ok else "fail"
-    except SkipCheck as exc:
-        status, summary = "skipped", str(exc)
     except Exception as exc:  # a crashed check is a failed check
         status, summary = "fail", f"error: {type(exc).__name__}: {exc}"
     return CheckResult(check.check_id, check.claim, status, summary,
@@ -128,36 +119,32 @@ class SuiteReport:
     version: str
     seed: int
     tol: float | None
-    max_sites: int
     pattern: str | None
     results: tuple[CheckResult, ...]
     warnings: tuple[str, ...] = ()
 
     @property
     def counts(self) -> dict[str, int]:
-        out = {"pass": 0, "fail": 0, "skipped": 0}
-        for r in self.results:
-            out[r.status] += 1
-        return out
+        return {s: sum(r.status == s for r in self.results)
+                for s in ("pass", "fail")}
 
     @property
     def ok(self) -> bool:
         return self.counts["fail"] == 0
 
     def to_text(self, timing: bool = True) -> str:
-        tag = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}
         width = max((len(r.check_id) for r in self.results), default=0)
         lines = [f"check suite v{self.version}  "
                  f"(seed {self.seed}, {len(self.results)} checks)"]
         for r in self.results:
             suffix = f"  ({r.seconds:.2f}s)" if timing else ""
-            lines.append(
-                f"[{tag[r.status]}] {r.check_id:<{width}}  {r.summary}{suffix}")
+            lines.append(f"[{r.status.upper()}] {r.check_id:<{width}}  "
+                         f"{r.summary}{suffix}")
         for w in self.warnings:
             lines.append(f"warning: {w}")
         c = self.counts
         lines.append(f"{len(self.results)} checks: {c['pass']} passed, "
-                     f"{c['fail']} failed, {c['skipped']} skipped")
+                     f"{c['fail']} failed")
         return "\n".join(lines)
 
     def to_json(self, timing: bool = False) -> str:
@@ -172,7 +159,6 @@ class SuiteReport:
             "version": self.version,
             "seed": self.seed,
             "tol": self.tol,
-            "max_sites": self.max_sites,
             "filter": self.pattern,
             "counts": self.counts,
             "warnings": list(self.warnings),
@@ -342,7 +328,7 @@ def _qdilog_checks(seed: int, tol: float | None) -> list[Check]:
 # representation checks
 # --------------------------------------------------------------------------
 
-def _rep_checks(seed: int, tol: float | None, max_sites: int) -> list[Check]:
+def _rep_checks(seed: int, tol: float | None) -> list[Check]:
     checks: list[Check] = []
     numeric = _registrar(checks, tol)
 
@@ -381,9 +367,6 @@ def _rep_checks(seed: int, tol: float | None, max_sites: int) -> list[Check]:
         "chain for the hatted extended, hatted oscillator, and "
         "self-trapping operators", 1e-10)
     def _():
-        sites = min(3, max_sites)
-        if sites < 2:
-            raise SkipCheck(f"needs at least 2 sites (max_sites={max_sites})")
         wanted = ("ext-hat", "osc-hat", "qdst")
         rows = [(n, Rb, Lb, alg) for n, Rb, Lb, alg in PAIRINGS
                 if n in wanted]
@@ -393,11 +376,11 @@ def _rep_checks(seed: int, tol: float | None, max_sites: int) -> list[Check]:
             pts = spectral_points(rng, 4)
             for name, _R, L_builder, alg in rows:
                 rep = _REP_FACTORIES[alg.name](N)
-                res = transfer_commutator_num(L_builder, alg, rep, sites,
+                res = transfer_commutator_num(L_builder, alg, rep, 3,
                                               pts[0], pts[1], q)
                 yield res, f"{name} N={N}"
                 if N == 3:
-                    res = transfer_commutator_num(L_builder, alg, rep, sites,
+                    res = transfer_commutator_num(L_builder, alg, rep, 3,
                                                   pts[2], pts[3], q)
                     yield res, f"{name} N={N} (second pair)"
 
@@ -406,10 +389,7 @@ def _rep_checks(seed: int, tol: float | None, max_sites: int) -> list[Check]:
         "Fourier-extracted Laurent coefficients of the self-trapping "
         "transfer matrix equal the conserved charges Q and Q H", 1e-10)
     def _():
-        jobs = [(N, 2) for N in REP_SIZES]
-        if max_sites >= 3:
-            jobs.append((3, 3))
-        for N, n_sites in jobs:
+        for N, n_sites in [(N, 2) for N in REP_SIZES] + [(3, 3)]:
             q = root_of_unity(N)
             rep = qosc_rep(N)
             for key, res in qdst_charge_fit(Aq, rep, n_sites, q).items():
@@ -521,27 +501,25 @@ def _classical_checks(seed: int, tol: float | None) -> list[Check]:
 # assembly and running
 # --------------------------------------------------------------------------
 
-def build_checks(seed: int = 0, tol: float | None = None,
-                 max_sites: int = 3) -> list[Check]:
+def build_checks(seed: int = 0, tol: float | None = None) -> list[Check]:
     """The full ordered registry for one configuration.
 
     tol=None keeps each numeric check's pinned tolerance; a float replaces
     all of them uniformly.  Symbolic identity checks are exact and ignore
-    tol.  max_sites bounds the chain length of the numeric rep-* transfer
-    checks (at most 3 sites; the exact transfer-commute-* identities always
-    use 2 and 3).  A tol that is not finite and positive raises ValueError:
-    nan or a nonpositive value would fail every numeric check; so does a
-    max_sites below 1, and a negative seed, which no seeded check can use.
+    tol.  A tol that is not finite and positive raises ValueError: nan or a
+    nonpositive value would fail every numeric check.  A seed that is not an
+    int (bool included) raises TypeError and a negative one ValueError: no
+    seeded check can use either.
     """
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise TypeError(f"seed must be an int, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if max_sites < 1:
-        raise ValueError(f"max_sites must be at least 1, got {max_sites!r}")
     checks = list(IDENTITIES.values())
     checks += _qdilog_checks(seed, tol)
-    checks += _rep_checks(seed, tol, max_sites)
+    checks += _rep_checks(seed, tol)
     checks += _classical_checks(seed, tol)
     ids = [c.check_id for c in checks]
     if len(set(ids)) != len(ids):
@@ -553,57 +531,30 @@ def _select(checks: Sequence[Check], pattern: str | None
             ) -> tuple[list[Check], list[str]]:
     if pattern is None:
         return list(checks), []
-    globs = [g for g in pattern.split(",") if g]
+    globs = [g.strip() for g in pattern.split(",") if g.strip()]
+    if not globs:
+        return [], [f"filter {pattern!r} matched no check ids"]
     selected = [c for c in checks
                 if any(fnmatch.fnmatchcase(c.check_id, g) for g in globs)]
-    warnings = []
-    if not selected:
-        warnings.append(f"filter {pattern!r} matched no check ids")
-    return selected, warnings
-
-
-# worker-process state for parallel runs: each worker rebuilds the registry
-# once (check closures are not sent over the pipe) and serves checks by id
-_WORKER_CHECKS: dict[str, Check] = {}
-
-
-def _worker_init(seed: int, tol: float | None, max_sites: int) -> None:
-    _WORKER_CHECKS.clear()
-    _WORKER_CHECKS.update(
-        (c.check_id, c) for c in build_checks(seed, tol, max_sites))
-
-
-def _worker_run(check_id: str) -> CheckResult:
-    return run_check(_WORKER_CHECKS[check_id])
+    return selected, [f"filter glob {g!r} matched no check ids" for g in globs
+                      if not any(fnmatch.fnmatchcase(c.check_id, g)
+                                 for c in selected)]
 
 
 def run_suite(pattern: str | None = None, seed: int = 0,
-              tol: float | None = None, max_sites: int = 3,
-              jobs: int = 1) -> SuiteReport:
-    """Run the (optionally filtered) registry and collect a report.
+              tol: float | None = None, jobs: int = 1) -> SuiteReport:
+    """Run the (optionally filtered) registry, in order, and collect a report.
 
-    pattern is a comma-separated list of id globs; a filter that matches
-    nothing yields a warning plus an empty report rather than an error.
-    With jobs > 1 checks are distributed over at most min(jobs, number of
-    selected checks, CPU count) worker processes; results are merged in
-    registry order either way, so reports are identical.  jobs < 1 raises
-    ValueError.
+    pattern is a comma-separated list of id globs, each stripped of
+    surrounding whitespace; a glob that matches nothing yields a warning
+    rather than an error.  jobs is kept for callers that pass jobs=1; any
+    other value raises ValueError.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs!r}")
-    checks = build_checks(seed=seed, tol=tol, max_sites=max_sites)
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1 (checks run in order), got {jobs!r}")
+    checks = build_checks(seed=seed, tol=tol)
     selected, warnings = _select(checks, pattern)
-    workers = min(jobs, len(selected), os.cpu_count() or 1)
-    if workers > 1:
-        import multiprocessing as mp
-
-        ctx = mp.get_context()
-        with ctx.Pool(processes=workers,
-                      initializer=_worker_init,
-                      initargs=(seed, tol, max_sites)) as pool:
-            results = pool.map(_worker_run, [c.check_id for c in selected])
-    else:
-        results = [run_check(c) for c in selected]
     return SuiteReport(version=__version__, seed=seed, tol=tol,
-                       max_sites=max_sites, pattern=pattern,
-                       results=tuple(results), warnings=tuple(warnings))
+                       pattern=pattern,
+                       results=tuple(run_check(c) for c in selected),
+                       warnings=tuple(warnings))

@@ -50,6 +50,12 @@ def test_field_config_validation():
         FieldConfig(phi=np.zeros(3), pi=np.zeros(3), kappa=0.0, beta=1.0)
     with pytest.raises(ValueError):
         FieldConfig(phi=np.zeros(3), pi=np.zeros(3), kappa=1.0, beta=-2.0)
+    # nan passes a `<= 0` test, and inf is no spacing or coupling
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            FieldConfig(phi=np.zeros(3), pi=np.zeros(3), kappa=bad, beta=1.0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            FieldConfig(phi=np.zeros(3), pi=np.zeros(3), kappa=1.0, beta=bad)
     cfg = FieldConfig(phi=[0.0, 0.0], pi=[0.0, 0.0], kappa=1.0, beta=2.0)
     assert cfg.gamma == 0.5
     assert cfg.n_sites == 2
@@ -176,6 +182,40 @@ def test_continuum_rejects_bad_inputs():
                       {"site_counts": [16, math.inf]}):
         with pytest.raises(ValueError, match="1048576"):
             continuum_check("liouville", **too_large)
+
+
+@pytest.mark.parametrize("ladder", [
+    {"n0": 3.5, "levels": 3},   # 4 points at spacing 1/3.5 miss the box
+    {"n0": 16.0},
+    {"site_counts": [16.5, 33, 66]},
+    {"site_counts": [16, 32.0, 64]},
+])
+def test_continuum_levels_must_be_whole_numbers(ladder):
+    with pytest.raises(ValueError, match="whole numbers"):
+        continuum_check("liouville", **ladder)
+
+
+@pytest.mark.parametrize("ladder", [{"n0": True}, {"levels": True},
+                                    {"site_counts": [16, True, 64]}])
+def test_continuum_refuses_bool_ladders(ladder):
+    # a bool is an int of 0 or 1: the two-site floor refuses it
+    with pytest.raises(ValueError, match="at least two distinct levels"):
+        continuum_check("liouville", **ladder)
+
+
+@pytest.mark.parametrize("bad", [{"beta": math.nan}, {"beta": -1.0},
+                                 {"beta": math.inf}, {"length": 0.0},
+                                 {"length": math.nan}, {"length": math.inf}])
+def test_continuum_beta_and_length_must_be_finite_and_positive(bad):
+    # refused on entry, not deep inside on the log of a nan field
+    with pytest.raises(ValueError, match="finite and positive"):
+        continuum_check("liouville", **bad)
+
+
+def test_continuum_accepts_numpy_integer_levels():
+    a = continuum_check("liouville", site_counts=[16, 32, 64])
+    b = continuum_check("liouville", site_counts=list(np.array([16, 32, 64])))
+    assert a == b
 
 
 def test_continuum_ladder_at_the_size_limit_runs():

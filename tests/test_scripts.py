@@ -102,6 +102,22 @@ def test_charge_tower_exits_1_when_a_value_exceeds_the_tolerance(
     assert "exceeds 1e-10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, value, where", [
+    ("check_feq", 2e-8, "rw, rw3, rbd3pp"),
+    ("check_shift", float("nan"), "omega=0.5"),
+])
+def test_dilog_grid_exits_1_when_a_defect_exceeds_the_tolerance(
+        monkeypatch, capsys, name, value, where):
+    import qbax.qdilog
+
+    real = getattr(qbax.qdilog, name)
+    monkeypatch.setattr(qbax.qdilog, name,
+                        lambda *args: real(*args) + value)
+    assert _run(monkeypatch, "dilog_defect_grid.py",
+                SMALL_ARGS["dilog_defect_grid.py"]) == 1
+    assert f"exceeds 1e-08 at {where}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("change", [{"monotone": False}, {"order": 0.5},
                                     {"order": float("nan")}])
 def test_continuum_sweep_exits_1_when_a_ladder_fails(monkeypatch, capsys,
