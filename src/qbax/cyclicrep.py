@@ -24,9 +24,13 @@ identity matrix.
 Everything else is generic numeric evaluation: relation residuals, and
 compiled exact polynomials.  Each generator matrix has one nonzero per row
 (Weyl's clock-and-shift form), so each word is a weighted column map of
-(C^N)^(tensor n), cached per representation in layers of equal maps.  On
-them rest the exact 4N x 4N exchange residual R12 L13 L23 - L23 L13 R12,
-transfer commutators taken layer by layer, and a Fourier charge fit.
+(C^N)^(tensor n), cached per representation in layers of equal maps.  Each
+coefficient term compiles to its power of q and its monomial in the other
+variables; per value of q a program keeps one (monomials x words) table
+with q folded in, so a spectral point costs the powers of lam and mu and
+one product with the table.  On them rest the exact 4N x 4N exchange
+residual R12 L13 L23 - L23 L13 R12, transfer commutators taken layer by
+layer, and a Fourier charge fit.
 """
 
 from __future__ import annotations
@@ -137,15 +141,18 @@ _CACHED_REPS = 8   # representations whose maps a compiled program keeps
 
 class _Program(NamedTuple):
     """Exact polynomials compiled to arrays that no representation enters,
-    plus what each of the last few representations makes of them."""
+    plus what each of the last few q values and representations make of
+    them."""
     alg: Presentation
     gens: tuple[str, ...]   # generators that occur, then the identity
     n_sites: int
     letters: np.ndarray     # (W, width) gens index * n_sites + site, padded
     bounds: np.ndarray      # words of entry k are bounds[k]:bounds[k + 1]
-    term_word: np.ndarray   # (T,) word of each coefficient term
-    term_val: np.ndarray    # (T,) its rational value
-    powers: tuple           # (variable, exponents, index per term)
+    needs: tuple[str, ...]  # the variables that occur, q last
+    monos: tuple            # (variable but q, (M,) its exponents) that occur
+    terms: tuple            # (2 T,) float index in (M, W), (T,) value, q power
+    shape: tuple            # (M, W) of a q table
+    tables: dict            # q -> (M, W) coefficients, least recent first
     maps: dict              # rep content -> _Maps, least recently used first
 
 
@@ -158,8 +165,12 @@ class _Maps(NamedTuple):
 
 
 def _compile(alg: Presentation, polys: list[NCPoly], n_sites: int) -> _Program:
+    """Each coefficient term becomes its monomial without q, its word, its
+    rational value and its power of q."""
     slots: dict[int, int] = {}
-    words, bounds, term_word, term_val, expos = [], [0], [], [], []
+    monos: dict[tuple, int] = {}   # exponents but q's -> monomial index
+    j = alg.vars.index("q") if "q" in alg.vars else len(alg.vars)
+    words, bounds, terms = [], [0], []
     for p in polys:
         for word, coeff in p.terms.items():
             bad = [site for site, _ in word if not 0 <= site < n_sites]
@@ -167,30 +178,78 @@ def _compile(alg: Presentation, polys: list[NCPoly], n_sites: int) -> _Program:
                 raise ValueError(f"site {bad[0]} is outside range({n_sites})")
             words.append([slots.setdefault(gi, len(slots)) * n_sites + site
                           for site, gi in word])
-            terms = coeff.terms
-            term_word += [len(words) - 1] * len(terms)
-            term_val += map(complex, terms.values())
-            expos += terms
+            terms += [(monos.setdefault(e[:j] + e[j + 1:], len(monos)),
+                       len(words) - 1, complex(v), sum(e[j:j + 1]))
+                      for e, v in coeff.terms.items()]
         bounds.append(len(words))
     width = max(map(len, words), default=0)
     pad = [w + [len(slots) * n_sites] * (width - len(w)) for w in words]
-    expo = np.array(expos, dtype=int).reshape(len(expos), len(alg.vars))
+    mono, word, val, q_pow = list(zip(*terms)) or [()] * 4
+    at = np.array(mono, dtype=np.intp) * len(words) + np.array(word, np.intp)
+    others = alg.vars[:j] + alg.vars[j + 1:]
+    expo = np.array(list(monos), dtype=int).reshape(len(monos), len(others))
+    occur = tuple((v, expo[:, i]) for i, v in enumerate(others)
+                  if expo[:, i].any())
     return _Program(
         alg, tuple(alg.gens[gi] for gi in slots), n_sites,
         np.array(pad, dtype=np.intp).reshape(len(pad), width),
-        np.array(bounds), np.array(term_word, dtype=np.intp),
-        np.array(term_val, dtype=complex),
-        tuple((v, *np.unique(expo[:, j], return_inverse=True))
-              for j, v in enumerate(alg.vars) if expo[:, j].any()), {})
+        np.array(bounds), tuple(v for v, _ in occur) + ("q",) * any(q_pow),
+        occur, ((2 * at[:, None] + (0, 1)).ravel(), np.array(val, dtype=complex),
+                np.array(q_pow, dtype=int)), (len(monos), len(words)), {}, {})
+
+
+def _cached(cache: dict, key, build):
+    """cache[key], built on a miss; the _CACHED_REPS most recent keys stay."""
+    value = cache.pop(key, None)
+    cache[key] = value = build() if value is None else value
+    if len(cache) > _CACHED_REPS:
+        del cache[next(iter(cache))]
+    return value
+
+
+def _maps(prog: _Program, mats: list[np.ndarray], N: int) -> _Maps:
+    """`prog`'s words in the generator matrices `mats` as column maps."""
+    mat = np.array(mats + [np.eye(N)])   # the identity pads words
+    nonzero = mat != 0
+    many = nonzero.sum(2).max(1) > 1
+    if many.any():
+        raise ValueError(f"generator {prog.gens[many.argmax()]!r} has a "
+                         "row with more than one nonzero")
+    gcol, gval = nonzero.argmax(2), mat.sum(2)   # each row's one nonzero
+    n, D, W = prog.n_sites, N**prog.n_sites, len(prog.letters)
+    place = N ** np.arange(n - 1, -1, -1)[:, None]
+    digit = np.arange(D) // place % N   # (n, D) per site and row
+    # a letter's map moves one base-N digit, site 0 leading: (gens, n, D)
+    lcol = (np.arange(D) + (gcol[:, digit] - digit) * place).reshape(-1)
+    lval = gval[:, digit].reshape(-1)
+    col = np.broadcast_to(np.arange(D), (W, D))
+    val = np.ones(col.shape, dtype=complex)
+    for at in (prog.letters * D).T:
+        at = at[:, None] + col
+        val = val * lval[at]
+        col = lcol[at]
+    seen: dict[bytes, int] = {}   # a map -> its layer, by first use
+    layer = [seen.setdefault(c.tobytes(), len(seen)) for c in col]
+    cols = np.empty((len(seen), D), dtype=np.intp)
+    cols[layer] = col
+    entry = np.repeat(np.arange(len(prog.bounds) - 1), np.diff(prog.bounds))
+    flat = (entry[:, None] * D + np.arange(D)) * D + col
+    maps = _Maps(val, (2 * flat[..., None] + (0, 1)).reshape(-1),
+                 (np.arange(len(cols))[:, None] == layer).astype(float), cols)
+    for a in maps:
+        a.flags.writeable = False   # every later caller shares them
+    return maps
 
 
 def _evaluate(prog: _Program, rep: dict[str, np.ndarray],
               values: dict) -> tuple[_Maps, np.ndarray]:
     """`prog`'s words in `rep` as column maps, with a weight per row, and their
-    coefficients (*P, W) at the points P `values` broadcast to.  The maps of
-    the last _CACHED_REPS reps are kept, keyed by the content of the matrices
-    used: an array changed in place is a new rep, equal arrays the same."""
-    shapes = sorted({np.shape(m) for m in rep.values()})
+    coefficients (*P, W) at the points P the values of the variables it uses
+    broadcast to (q one number for all).  The maps of the last _CACHED_REPS
+    reps are kept, keyed by the content of the matrices used: an array
+    changed in place is a new rep, equal arrays the same; so are the tables
+    of the last q values."""
+    shapes = sorted({m.shape for m in map(np.asarray, rep.values())})
     if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
         raise ValueError("rep matrices must all be square and of one size, "
                          f"got shapes {shapes}")
@@ -198,59 +257,22 @@ def _evaluate(prog: _Program, rep: dict[str, np.ndarray],
     if missing:
         raise KeyError(f"rep has no matrix for generator {missing[0]!r} "
                        f"of {prog.alg.name}")
-    missing = [v for v, _, _ in prog.powers if v not in values]
+    missing = [v for v in prog.needs if v not in values]
     if missing:
         raise KeyError(f"no numeric value for {missing}")
-    shape = np.broadcast(*values.values()).shape
-    term = prog.term_val * np.ones((*shape, 1))   # every point, from the start
-    for v, expo, index in prog.powers:   # each distinct power once
-        term = term * np.power.outer(np.asarray(values[v], dtype=complex),
-                                     expo).take(index, -1)
-    W, P = len(prog.letters), math.prod(shape)
-    at = prog.term_word if P == 1 else (
-        W * np.arange(P)[:, None] + prog.term_word).ravel()
-    coeffs = (np.bincount(at, term.real.ravel(), P * W)
-              + 1j * np.bincount(at, term.imag.ravel(), P * W))
+    q = complex(values["q"]) if "q" in prog.needs else 1.0
+    at, val, q_pow = prog.terms
+    table = _cached(prog.tables, q, lambda: np.bincount(   # (M, W) at this q
+        at, (val * q ** q_pow).view(float), 2 * math.prod(prog.shape)).view(
+            complex).reshape(prog.shape))
+    mono = 1.0   # (*P, M) each point's monomials, if a variable occurs
+    for v, expo in prog.monos:
+        mono = mono * np.power.outer(np.asarray(values[v], dtype=complex), expo)
     N = shapes[0][0]   # matrices N x N: N, dtypes and bytes fix them
     mats = [np.asarray(rep[g]) for g in prog.gens]
-    key = (N, *[(m.dtype, m.tobytes()) for m in mats])
-    maps = prog.maps.pop(key, None)
-    if maps is None:
-        mat = np.array(mats + [np.eye(N)])   # the identity pads words
-        gcol = (mat != 0).argmax(axis=2)
-        gval = np.take_along_axis(mat, gcol[..., None], 2)[..., 0]
-        many = np.count_nonzero(mat, axis=(1, 2)) > np.count_nonzero(gval, 1)
-        if many.any():   # a row with two nonzeros keeps only one in gval
-            raise ValueError(f"generator {prog.gens[many.argmax()]!r} has a "
-                             "row with more than one nonzero")
-        n, D = prog.n_sites, N**prog.n_sites
-        place = N ** np.arange(n - 1, -1, -1)[:, None]
-        digit = np.arange(D) // place % N   # (n, D) per site and row
-        # a letter's map moves one base-N digit, site 0 leading: (gens, n, D)
-        lcol = (np.arange(D) + (gcol[:, digit] - digit) * place).reshape(-1)
-        lval = gval[:, digit].reshape(-1)
-        col = np.broadcast_to(np.arange(D), (W, D))
-        val = np.ones(col.shape, dtype=complex)
-        for at in (prog.letters * D).T:
-            at = at[:, None] + col
-            val = val * lval[at]
-            col = lcol[at]
-        seen: dict[bytes, int] = {}   # a map -> its layer, by first use
-        layer = [seen.setdefault(c.tobytes(), len(seen)) for c in col]
-        cols = np.empty((len(seen), D), dtype=np.intp)
-        cols[layer] = col
-        entry = np.repeat(np.arange(len(prog.bounds) - 1),
-                          np.diff(prog.bounds))[:, None]
-        flat = (entry * D + np.arange(D)) * D + col
-        maps = _Maps(val, (2 * flat[..., None] + (0, 1)).reshape(-1),
-                     (np.arange(len(cols))[:, None] == layer).astype(float),
-                     cols)
-        for a in maps:
-            a.flags.writeable = False   # every later caller shares them
-    prog.maps[key] = maps
-    for old in list(prog.maps)[:-_CACHED_REPS]:
-        prog.maps.pop(old, None)
-    return maps, coeffs.reshape(*shape, W)
+    maps = _cached(prog.maps, (N, *[(m.dtype, m.tobytes()) for m in mats]),
+                   lambda: _maps(prog, mats, N))
+    return maps, mono @ table if prog.monos else table.sum(0)
 
 
 def _contract(prog: _Program, rep: dict[str, np.ndarray],
@@ -321,8 +343,16 @@ def rep_residuals(alg: Presentation, rep: dict[str, np.ndarray],
 # exchange relation, monodromy, transfer
 # --------------------------------------------------------------------------
 
-def _values(q_val: complex, lam: complex) -> dict[str, complex]:
-    return {"q": q_val, "lam": lam, "mu": 1.0}
+def _values(q_val: complex, lam, mu=1.0) -> dict[str, complex]:
+    """The variables at a spectral point: q and the point, numbers or arrays,
+    must be finite and nonzero."""
+    for z in (q_val, lam, mu):
+        for v in [z] if isinstance(z, (int, float, complex)) else (
+                np.ravel(z).tolist()):
+            if not (cmath.isfinite(v) and v != 0):
+                raise ValueError("spectral points and q must be finite and "
+                                 f"nonzero, got {v!r}")
+    return {"q": q_val, "lam": lam, "mu": mu}
 
 
 @lru_cache(maxsize=32)
@@ -340,11 +370,13 @@ def rll_residual_num(R_builder, L_builder, alg: Presentation,
     4N x 4N problem of two auxiliary legs and one quantum leg.  Arrays x
     and y give an array of norms, one per point, from one evaluation.
     """
-    lam = np.divide(x, y)
-    out = _contract(_rll_program(R_builder, L_builder, alg), rep,
-                    {"q": q_val, "lam": lam, "mu": y}).view(float)
-    norm = np.sqrt((out * out).reshape(*lam.shape, -1).sum(-1))
-    return norm if norm.ndim else float(norm)
+    vals = _values(q_val, x, y)   # x is checked as lam, then replaced
+    vals["lam"] = lam = np.divide(x, y)
+    out = _contract(_rll_program(R_builder, L_builder, alg), rep, vals)
+    if not lam.ndim:
+        return math.sqrt(np.vdot(out, out).real)
+    out = out.view(float)
+    return np.sqrt((out * out).reshape(*lam.shape, -1).sum(-1))
 
 
 @lru_cache(maxsize=32)
@@ -386,7 +418,8 @@ def transfer_commutator_num(L_builder, alg: Presentation,
     one block at small D); the squared norms add up."""
     prog = _transfer_program(L_builder, alg, n_sites)
     maps, coeffs = _evaluate(prog, rep, _values(q_val, np.array([x, y])))
-    vx, vy = (maps.member @ (c[:, None] * maps.weight) for c in coeffs)
+    vx, vy = ((maps.member @ (c[:, None] * maps.weight).view(float)).view(
+        complex) for c in coeffs)   # a real product: member is 0 or 1
     G, D = (cols := maps.cols).shape
     step, comm, nx, ny = max(1, 2**13 // max(D, G * G)), 0.0, 0.0, 0.0
     for r in range(0, D, step):
@@ -417,20 +450,28 @@ def qdst_charge_fit(alg: Presentation, rep: dict[str, np.ndarray],
         for d in sums:
             sums[d] += T * cmath.exp(-2j * math.pi * j * d / M)
         del T   # one sample alive while the next one is built
-    Q, H = qdst_charges(alg, n)
+    Q, QH = _charge_programs(alg, n)
     vals = _values(q_val, 1.0)
     fit = {}
     for key, d, charge in (("lam^-n vs Q", -n, Q),
-                           ("lam^(2-n) vs QH", 2 - n, Q * H)):
+                           ("lam^(2-n) vs QH", 2 - n, QH)):
         coeff = sums.pop(d)
         coeff /= M
         fit[key] = float(np.linalg.norm(
-            coeff - numeric_poly(charge, rep, n, vals)))
+            coeff - _contract(charge, rep, vals)[0]))
     return fit
+
+
+@lru_cache(maxsize=32)
+def _charge_programs(alg: Presentation, n_sites: int) -> tuple[_Program, ...]:
+    Q, H = qdst_charges(alg, n_sites)
+    return _compile(alg, [Q], n_sites), _compile(alg, [Q * H], n_sites)
 
 
 def spectral_points(seed: int | random.Random, count: int) -> np.ndarray:
     """count points e^(2 pi i random()) on the unit circle, in order from
     random.Random(seed), or from seed when it is one."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     return np.array([cmath.exp(2j * math.pi * rng.random()) for _ in range(count)])

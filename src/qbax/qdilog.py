@@ -35,6 +35,10 @@ at t = i c factor exp(u t) = exp(u a_j) exp(u b_m), scaled by sigma =
 Re(w + 1/w) >= |Re u| to stay in range; a shorter line is the middle rows
 of a longer one, so one grid per w serves every L.
 
+The checks take scalars and arrays one way, over Python floats: a check's
+points give one list of arguments for one s_omega_log call, and numpy runs
+only in its quadrature (one exp over every argument and node, two products).
+
 The phrase "decay strip" above is the actual bound obtained from the
 integrand's asymptotics; it is *smaller* than the looser engineering
 bound |Im ell| < pi (w + 1/w) sometimes quoted, and the domain check
@@ -66,7 +70,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -117,14 +121,15 @@ class DilogParams:
         if not (math.isfinite(self.steps) and self.steps >= 4):
             raise DilogDomainError(
                 f"steps must be a finite number >= 4, got {self.steps!r}")
-        if not self.tol > 0:   # nan too
-            raise DilogDomainError("tolerance must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise DilogDomainError(
+                f"tol must be a finite number > 0, got {self.tol!r}")
 
-    @property
+    @cached_property
     def q(self) -> complex:
         return cmath.exp(1j * math.pi * self.omega**2)
 
-    @property
+    @cached_property
     def log_q(self) -> complex:
         return 1j * math.pi * self.omega**2
 
@@ -209,7 +214,7 @@ def _rule(omega: complex, height: float, steps: float, L: float):
 def _rows(omega: complex, height: float, steps: float, c: float, h: float,
           J: int):
     """_rule's slices, cached by J, which many L share (c and h follow from
-    omega, height and steps)."""
+    omega, height and steps): the centres, then b; their lows, b's 0; W."""
     if J * _M > _MAX_K:
         raise DilogDomainError(f"the rule would need {(2 * J + 1) * _M} "
                                "nodes: steps is too large")
@@ -224,49 +229,59 @@ def _rows(omega: complex, height: float, steps: float, c: float, h: float,
         low = -(omega + 1.0 / omega).real * np.abs(a.real)
         grid[:] = a, low, np.exp(log_w - low[:, None])
     n = len(grid[0]) // 2
-    return (*(g[n - J:n + J + 1] for g in grid), (np.arange(_M) - _M // 2) * h)
+    a, low, W = (g[n - J:n + J + 1] for g in grid)
+    return (np.concatenate([a, (np.arange(_M) - _M // 2) * h]),
+            np.concatenate([low, np.zeros(_M)]) + 0j, W)
 
 
 def _eval_log(ell, omega: complex, steps: float, tol: float,
               height=0.5, invert=True):
-    """S at each ell: a complex for a scalar, else an array of its shape.
+    """S at each finite ell: a complex for a scalar, else an array of its shape.
 
     All share the line the slowest-decaying one needs.  With `invert`, an
     ell with Re(ell / omega) > 0 takes S(e^-ell) and the inversion phase,
     refused once it rounds off by more than tol."""
-    shape = np.shape(ell)
-    ells = np.ravel(ell).astype(complex).tolist() if shape else [complex(ell)]
+    ell = np.asarray(ell, dtype=complex)
+    ells = ell.ravel().tolist()
+    bad = [e for e in ells if not cmath.isfinite(e)]
+    if bad:
+        raise DilogDomainError(f"ell = {bad[0]} is not finite")
     if not ells:
-        return np.zeros(shape, dtype=complex)
+        return np.zeros(ell.shape, dtype=complex)
     us = [-1j * e / (math.pi * omega) for e in ells]
-    i = max(range(len(us)), key=lambda i: abs(us[i].real))
-    rate = fold_decay_rate(omega, ells[i])
+    rate = (omega + 1.0 / omega).real - max([abs(u.real) for u in us])
     if not rate > 0.05:
+        i = max(range(len(us)), key=lambda i: abs(us[i].real))
         raise DilogDomainError(
             f"Im(log x) = {ells[i].imag:.4f} is outside the decay strip "
             f"|Im log x| < pi (1 + omega^2) = {math.pi * (1 + omega**2):.4f} "
             "(or too close to its edge)")
-    a, low, W, b = _rule(omega, height, steps, _TAIL_LOG / rate)
-    flip = [i for i, u in enumerate(us) if invert and u.imag < 0]
-    u = np.array([-u if invert and u.imag < 0 else u for u in us])[:, None]
-    log_s, coarse = ((np.exp(u * a + low) @ W
-                      * np.exp(u * b)) @ _FINE_COARSE).T
-    move = np.abs(np.expm1(coarse - log_s))
-    i = move.argmax()
-    if not move[i] <= tol:
+    t, low, W = _rule(omega, height, steps, _TAIL_LOG / rate)
+    flip = [invert and u.imag < 0 for u in us]
+    # every exp before the products: one after a BLAS call can run 10x slow
+    e = np.multiply.outer([-u if f else u for u, f in zip(us, flip)], t)
+    e += low
+    np.exp(e, out=e)
+    g = np.dot(e[:, :len(W)], W)
+    g *= e[:, len(W):]
+    fine_coarse = np.dot(g, _FINE_COARSE)
+    move = np.abs(np.expm1(fine_coarse[:, 1] - fine_coarse[:, 0])).tolist()
+    if not all(m <= tol for m in move):   # nan fails too
+        i = int(np.argmax(move))
         raise QuadratureError(
             f"node doubling moved S by {move[i]:.3e} relative (> {tol:.1e}) "
             f"at ell={ells[i]:.6g}, omega={omega:.6g}")
-    for i in flip:   # the inversion relation
-        phase = (ells[i] ** 2 / (4.0 * math.pi * omega * omega)
-                 + math.pi * (omega**2 + omega**-2) / 12)
-        if abs(phase) * 2.0**-52 > tol:
-            raise DilogDomainError(
-                f"the inversion phase {phase:.3g} at ell={ells[i]:.6g} "
-                f"rounds off by more than {tol:.1e}")
-        log_s[i] = 1j * phase - log_s[i]
+    log_s, c = fine_coarse[:, 0].tolist(), math.pi * (omega**2 + omega**-2) / 12
+    for i, z in enumerate(ells):
+        if flip[i]:   # the inversion relation
+            phase = z * z / (4.0 * math.pi * omega * omega) + c
+            if abs(phase) * 2.0**-52 > tol:
+                raise DilogDomainError(
+                    f"the inversion phase {phase:.3g} at ell={z:.6g} "
+                    f"rounds off by more than {tol:.1e}")
+            log_s[i] = 1j * phase - log_s[i]
     s = np.exp(log_s)
-    return s.reshape(shape) if shape else complex(s[0])
+    return s.reshape(ell.shape) if ell.ndim else complex(s[0])
 
 
 def s_omega_log(ell, p: DilogParams, invert: bool = True):
@@ -294,18 +309,33 @@ def s_omega(x: complex, p: DilogParams) -> complex:
 # defect helpers
 # --------------------------------------------------------------------------
 
-def _positive(x, name: str = "x") -> tuple[np.ndarray, np.ndarray]:
-    """x and log x for positive reals x, a scalar or an array of them."""
-    x = np.asarray(x, dtype=float)
-    if not x.min(initial=1.0) > 0:   # nan fails too
-        raise DilogDomainError(f"{name} must be positive")
-    return x, np.log(x)
+def _reals(names: str, *args, real: str = ""):
+    """The arguments broadcast to one shape, each as a list of floats, and
+    that shape, () for scalars.  Every value must be finite, and above 0
+    unless its name is in `real`."""
+    if all(isinstance(a, float) for a in args):   # one point, as it comes
+        cols, shape = [[float(a)] for a in args], ()
+    else:
+        arrays = np.broadcast_arrays(*args)
+        cols, shape = [a.ravel().tolist() for a in arrays], arrays[0].shape
+    for name, col in zip(names.split(), cols):
+        kind, low = ("real", -math.inf) if name in real else ("positive", 0.0)
+        bad = [v for v in col   # nan fails too
+               if isinstance(v, complex) or not low < v < math.inf]
+        if bad:
+            raise DilogDomainError(
+                f"{name} must be {kind} and finite, got {bad[0]!r}")
+    return cols, shape
 
 
-def _rel(lhs, rhs):
-    """|lhs - rhs| / max(|lhs|, |rhs|): a float for scalars, else an array."""
-    d = np.abs(lhs - rhs) / np.maximum(np.maximum(abs(lhs), abs(rhs)), 1e-300)
-    return d if np.ndim(d) else float(d)
+def _shaped(values: list, shape: tuple):
+    """The one value for shape (), else an array of that shape."""
+    return np.array(values).reshape(shape) if shape else values[0]
+
+
+def _rel(lhs: complex, rhs: complex) -> float:
+    """|lhs - rhs| / max(|lhs|, |rhs|)."""
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
 # --------------------------------------------------------------------------
@@ -317,10 +347,12 @@ def check_shift(omega: float, x, p: DilogParams | None = None):
     sides on the line, so that x > 1 tests its own values rather than those
     at 1/x; past |log x| = 10 the line is inexact: invert."""
     p = p or DilogParams(omega)
-    x, ell = _positive(x)
-    lhs, rhs = s_omega_log([ell - p.log_q, ell + p.log_q], p,
-                           np.abs(ell).max(initial=0) > 10)
-    return _rel(lhs, (1.0 + x) * rhs)
+    lq, ((xs,), shape) = p.log_q, _reals("x", x)
+    ells = [math.log(v) for v in xs]
+    s = s_omega_log([e - lq for e in ells] + [e + lq for e in ells], p,
+                    max(map(abs, ells), default=0) > 10).tolist()
+    return _shaped([_rel(lhs, (1.0 + v) * rhs)
+                    for v, lhs, rhs in zip(xs, s, s[len(xs):])], shape)
 
 
 def check_unitarity(omega: float, x, p: DilogParams | None = None):
@@ -328,12 +360,17 @@ def check_unitarity(omega: float, x, p: DilogParams | None = None):
     x > 0, both on the line, whose symmetric rule gives |S| = 1 at any step
     (the product can fail).  Past |log x| = 10 the line is inexact: invert."""
     p = p or DilogParams(omega)
-    ell = _positive(x)[1]
-    s, inv = s_omega_log(np.array([ell, -ell]), p, np.abs(ell).max(initial=0) > 10)
-    phase = np.exp(1j * (ell * ell / (4.0 * math.pi * omega * omega)
-                         + math.pi * (omega**2 + omega**-2) / 12))
-    d = np.maximum(abs(abs(s) - 1.0), _rel(s * inv, phase))
-    return d if np.ndim(d) else float(d)
+    (xs,), shape = _reals("x", x)
+    ells = [math.log(v) for v in xs]
+    s = s_omega_log(ells + [-e for e in ells], p,
+                    max(map(abs, ells), default=0) > 10).tolist()
+    out = []
+    for e, one, inv in zip(ells, s, s[len(ells):]):
+        d = _rel(one * inv, cmath.exp(1j * (
+            e * e / (4.0 * math.pi * omega * omega)
+            + math.pi * (omega**2 + omega**-2) / 12)))
+        out.append(max(abs(abs(one) - 1.0), d) if d == d else d)   # nan wins
+    return _shaped(out, shape)
 
 
 def check_self_dual(omega: float, s, p: DilogParams | None = None):
@@ -344,12 +381,12 @@ def check_self_dual(omega: float, s, p: DilogParams | None = None):
     with different steps.
     """
     p = p or DilogParams(omega)
-    s = np.asarray(s, dtype=float)
-    left = s_omega_log(2.0 * math.pi * omega * s, p)
+    (ss,), shape = _reals("s", s, real="s")
+    left = s_omega_log([2.0 * math.pi * omega * v for v in ss], p).tolist()
     # 1/omega > 1 is outside DilogParams: call the core on another line
-    right = _eval_log(2.0 * math.pi * s / omega, 1.0 / omega, 72, p.tol,
-                      height=0.4)
-    return _rel(left, right)
+    right = _eval_log([2.0 * math.pi * v / omega for v in ss], 1.0 / omega,
+                      72, p.tol, height=0.4).tolist()
+    return _shaped(list(map(_rel, left, right)), shape)
 
 
 def check_product_consistency(omega: complex, x, tol: float = 1e-15):
@@ -364,12 +401,14 @@ def check_product_consistency(omega: complex, x, tol: float = 1e-15):
     om = complex(omega)
     if om.imag <= 0:
         raise DilogDomainError("needs Im(omega) > 0 so both products converge")
-    x, ell = _positive(x)
+    (xs,), shape = _reals("x", x)
+    ell = np.log(xs)
     integral = _eval_log(ell, om, DilogParams.steps, 1e-8)
     q = cmath.exp(1j * cmath.pi * om * om)
     q_hat = cmath.exp(-1j * cmath.pi / (om * om))
-    return _rel(integral, s_compact(x, q, tol)
-                / s_compact(np.exp(ell / (om * om)), q_hat, tol))
+    compact = (s_compact(np.array(xs), q, tol)
+               / s_compact(np.exp(ell / (om * om)), q_hat, tol))
+    return _shaped(list(map(_rel, integral.tolist(), compact.tolist())), shape)
 
 
 # --------------------------------------------------------------------------
@@ -383,20 +422,33 @@ def check_ssw(omega: float, w, t, p: DilogParams | None = None):
     form 2:  w^t == q^(t^2) S(q^-2t w) S(q^2t /w) / ( S(w) S(1/w) )
     """
     p = p or DilogParams(omega)
-    lq = p.log_q
-    w, ell = _positive(w, "w")
-    t = np.asarray(t, dtype=float)
+    lq, ((ws, ts), shape) = p.log_q, _reals("w t", w, t, real="t")
+    ells = [math.log(v) for v in ws]
     # S(e) S(-e), each on the line: the inversion relation makes it exact
-    e = ell + np.multiply.outer([-1.0, 1.0, -2.0, 0.0], t) * lq
-    s = s_omega_log(np.concatenate([e, -e]), p, invert=False)
-    pair = s[:4] * s[4:]
-    wt = np.exp(t * ell)
-    one = _rel(wt, pair[0] / pair[1])
-    two = _rel(wt, np.exp(t * t * lq) * pair[2] / pair[3])
-    return np.maximum(one, two) if np.ndim(one) else max(one, two)
+    e = [ell + k * t * lq for ell, t in zip(ells, ts)
+         for k in (-1.0, 1.0, -2.0, 0.0)]
+    s = s_omega_log(e + [-v for v in e], p, invert=False).tolist()
+    out = []
+    for i, (ell, t) in enumerate(zip(ells, ts)):
+        a, b, c, d = (s[j] * s[j + len(e)] for j in range(4 * i, 4 * i + 4))
+        wt = math.exp(t * ell)
+        one, two = _rel(wt, a / b), _rel(wt, cmath.exp(t * t * lq) * c / d)
+        out.append(max(one, two) if two == two else two)   # nan wins
+    return _shaped(out, shape)
 
 
-FEQ_IDS = ("rw", "rw3", "rbd3pp")
+# id -> (k, c, sign of the shift by 2 log q, the sides (left, right) at lam,
+# w, q) of the kernel K(e) = S(e - k log lam) / S(e + k log lam) exp(-c s e)
+_FEQS = {
+    "rw": (1.0, 0.5, -1.0,   # R0
+           lambda lam, w, q: (lam + w / q, 1.0 + lam * w / q)),
+    "rw3": (2.0, 1.0, -1.0,   # R2
+            lambda lam, w, q: (lam * q / w + 1.0 / lam, q / (lam * w) + lam)),
+    "rbd3pp": (1.0, 0.0, 1.0,   # G
+               lambda lam, w, q: (lam + 1.0 / (q * w),
+                                  1.0 / lam + 1.0 / (q * w))),
+}
+FEQ_IDS = tuple(_FEQS)
 
 
 def check_feq(feq_id: str, omega: float, lam, w,
@@ -407,28 +459,25 @@ def check_feq(feq_id: str, omega: float, lam, w,
     lam and w must be positive reals.  The q^{+-2} argument shifts are taken
     as unwrapped logarithm shifts by +-2 log q.
     """
-    p = p or DilogParams(omega)
-    (lam, ll), (w, lw) = _positive(lam, "lam"), _positive(w, "w")
-    q, lq = p.q, p.log_q
-    s = ll / lq  # q^s = lam
-    # kernel K(e) = S(e - k ll) / S(e + k ll) * exp(-c s e), compared at
-    # e = log w and at log w + shift
-    if feq_id == "rw":  # R0
-        k, c, shift = 1.0, 0.5, -2.0 * lq
-        left, right = lam + w / q, 1.0 + lam * w / q
-    elif feq_id == "rw3":  # R2
-        k, c, shift = 2.0, 1.0, -2.0 * lq
-        left, right = lam * q / w + 1.0 / lam, q / (lam * w) + lam
-    elif feq_id == "rbd3pp":  # G
-        k, c, shift = 1.0, 0.0, 2.0 * lq
-        left, right = lam + 1.0 / (q * w), 1.0 / lam + 1.0 / (q * w)
-    else:
+    if feq_id not in _FEQS:
         raise ValueError(f"unknown functional equation id {feq_id!r}; "
                          f"known: {FEQ_IDS}")
-    e = np.array([lw, lw + shift])
-    sv = s_omega_log(np.concatenate([e - k * ll, e + k * ll]), p)
-    kernel = sv[:2] / sv[2:] * np.exp(-c * s * e)
-    return _rel(kernel[0] * left, right * kernel[1])
+    p = p or DilogParams(omega)
+    (lams, ws), shape = _reals("lam w", lam, w)
+    (k, c, sign, sides), q, lq = _FEQS[feq_id], p.q, p.log_q
+    shift = sign * 2.0 * lq
+    # K compared at e = log w and at log w + shift; s = log lam / log q
+    e = [(math.log(v), math.log(u)) for v, u in zip(ws, lams)]
+    s = s_omega_log([lw + d + sgn * k * ll for lw, ll in e
+                     for sgn in (-1.0, 1.0) for d in (0.0, shift)], p).tolist()
+    out = []
+    for i, ((lw, ll), v, u) in enumerate(zip(e, ws, lams)):
+        top, top_shift, bottom, bottom_shift = s[4 * i:4 * i + 4]
+        left, right = sides(u, v, q)
+        out.append(_rel(top / bottom * cmath.exp(-c * (ll / lq) * lw) * left,
+                        right * (top_shift / bottom_shift
+                                 * cmath.exp(-c * (ll / lq) * (lw + shift)))))
+    return _shaped(out, shape)
 
 
 def kernel_ratio_rv5_rv3(omega: float, lam, w, p: DilogParams | None = None):
@@ -440,9 +489,12 @@ def kernel_ratio_rv5_rv3(omega: float, lam, w, p: DilogParams | None = None):
     power identity it equals exp(i log^2 lam / (4 pi omega^2)).
     """
     p = p or DilogParams(omega)
-    ll, ell = _positive(lam, "lam")[1], _positive(w, "w")[1]
-    s = ll / p.log_q
-    a, b, c, d, e = s_omega_log(np.broadcast_arrays(   # as in check_ssw
-        ell - ll, ell + ll, ell + 0 * ll, -ell + 0 * ll, ll - ell), p, False)
-    ratio = a / b * np.exp(-0.5 * s * ell) / (c * d / (b * e))   # R0 / R5
-    return ratio if np.ndim(ratio) else complex(ratio)
+    (lams, ws), shape = _reals("lam w", lam, w)
+    e = [(math.log(v), math.log(u)) for v, u in zip(ws, lams)]
+    s = s_omega_log([z for ell, ll in e    # every S on the line, as in
+                     for z in (ell - ll, ell + ll, ell, -ell, ll - ell)],
+                    p, False).tolist()   # check_ssw
+    return _shaped([a / b * cmath.exp(-0.5 * (ll / p.log_q) * ell)
+                    / (c * d / (b * f))   # R0 / R5
+                    for (ell, ll), (a, b, c, d, f)
+                    in zip(e, zip(*[iter(s)] * 5))], shape)

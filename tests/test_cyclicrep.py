@@ -729,3 +729,62 @@ def test_normal_form_agrees_with_the_cyclic_rep(alg):
     assert max(_product_defect(p, r, rep, q) for p, r in pairs) < 1e-10
     # negative control: coefficients at q^2 while the matrices use q
     assert max(_product_defect(p, r, rep, q**2) for p, r in pairs) > 0.1
+
+
+def test_a_program_that_carries_q_needs_a_value_for_q():
+    rep = weyl_rep(3)
+    p = Wq.gen("u", 0) * Wq.param("q", 2) + Wq.param("lam")
+    with pytest.raises(KeyError, match=r"no numeric value for \['q'\]"):
+        numeric_poly(p, rep, 1, {"lam": 2.0})
+    # q = 1 is not a default: it is the value given or nothing
+    got = numeric_poly(p, rep, 1, {"q": 2.0, "lam": 2.0})
+    assert np.allclose(got, 4.0 * rep["u"] + 2.0 * np.eye(3))
+
+
+def test_one_program_at_two_q_values_and_a_rep_changed_in_place():
+    # the q tables and the rep maps are cached apart: each combination must
+    # give the per-term oracle's answer, whatever was evaluated before
+    M = rll_defect(R_hat, L_ext_hat, GLq2Ext.free_copy())
+    polys = [p for row in M.rows for p in row]
+    prog = _compile(M.alg, polys, 1)
+    assert "q" in prog.needs
+    rep = glq2ext_rep(3)
+    for q in (root_of_unity(3), 0.8 + 0.3j, root_of_unity(3)):
+        for change in (False, True):
+            if change:
+                rep["d"][...] = 1.5 * rep["d"]
+            vals = {"q": q, "lam": 0.7 - 0.2j, "mu": 0.4 + 0.9j}
+            got = _contract(prog, rep, vals)
+            for k, p in enumerate(polys):
+                if p.terms:
+                    assert _oracle_defect(got[k], p, rep, 1, vals) <= 1e-12
+    assert len(prog.tables) == 2
+
+
+@pytest.mark.parametrize("bad", [0.0, float("nan"), complex("inf")])
+def test_degenerate_spectral_points_are_refused(bad):
+    q, rep = root_of_unity(5), weyl_rep(5)
+    for x, y, q_val in ((1.0, bad, q), (bad, 1.0, q), (1.0, 1.0, bad),
+                        (np.array([1.0, bad]), 1.0, q)):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            rll_residual_num(R_sym, L_weyl, Wq, rep, x, y, q_val)
+    for x, y, q_val in ((bad, 1.0, q), (1.0, bad, q), (1.0, 1j, bad)):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            transfer_commutator_num(L_qdst, Aq, qosc_rep(5), 2, x, y, q_val)
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        transfer_num(L_qdst, Aq, qosc_rep(5), 2, bad, q)
+
+
+def test_spectral_points_refuse_a_negative_count():
+    assert spectral_points(0, 0).shape == (0,)
+    with pytest.raises(ValueError, match="count"):
+        spectral_points(0, -1)
+
+
+def test_charge_fit_compiles_its_charges_once(monkeypatch):
+    rep, q = qosc_rep(3), root_of_unity(3)
+    first = qdst_charge_fit(Aq, rep, 2, q)
+    compiled = []
+    monkeypatch.setattr(cyclicrep, "_compile", lambda *a: compiled.append(a))
+    assert qdst_charge_fit(Aq, rep, 2, q) == first
+    assert not compiled

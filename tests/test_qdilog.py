@@ -184,8 +184,8 @@ def test_rules_are_shared_by_lines_of_equal_row_count():
     h = 2.0 * math.pi * (0.5 * math.pi * om) / 80   # c = cap / 2
     first = qdilog._rule(om, 0.5, 80, 10.1 * 32 * h)
     assert qdilog._rule(om, 0.5, 80, 10.9 * 32 * h) is first
-    assert len(first[0]) == 2 * 11 + 1
-    assert len(qdilog._rule(om, 0.5, 80, 11.1 * 32 * h)[0]) == 2 * 12 + 1
+    assert len(first[2]) == 2 * 11 + 1   # rows of weights
+    assert len(qdilog._rule(om, 0.5, 80, 11.1 * 32 * h)[2]) == 2 * 12 + 1
 
 
 def test_shift_tests_its_own_values_above_one():
@@ -381,3 +381,43 @@ def test_checks_refuse_non_positive_arguments():
             check_shift(0.5, bad, p)
         with pytest.raises(DilogDomainError, match="positive"):
             check_feq("rw", 0.5, bad, 1.0, p)
+
+
+def test_bad_input_is_refused_with_the_argument_named():
+    p = DilogParams(0.5)
+    with pytest.raises(DilogDomainError, match="tol must be a finite"):
+        DilogParams(0.5, tol=float("inf"))   # would lift the certificate
+    with pytest.raises(DilogDomainError, match=r"ell = .*nan.* is not finite"):
+        s_omega_log(float("nan"), p)
+    with pytest.raises(DilogDomainError, match="x must be positive and finite"
+                                               ", got inf"):
+        check_unitarity(0.5, float("inf"), p)
+    with pytest.raises(DilogDomainError, match="t must be real and finite, "
+                                               "got nan"):
+        check_ssw(0.5, 1.3, float("nan"), p)
+    # a complex lam is refused like a negative one
+    for lam in (1 + 1j, -1.0):
+        with pytest.raises(DilogDomainError, match="lam must be positive"):
+            check_feq("rw", 0.5, lam, 0.5, p)
+    with pytest.raises(DilogDomainError, match="s must be real and finite"):
+        check_self_dual(0.5, [0.1, float("-inf")], p)
+
+
+def test_scalar_checks_are_the_batched_elements_bit_for_bit():
+    # each check evaluates its points together, on the line its slowest
+    # member needs; points that share the line (and the inversion choice)
+    # give a scalar call exactly its element of the batched call
+    p = DilogParams(0.7)
+    x = np.array([0.03, 0.4, 1.0, 2.5, 60.0])
+    lam = np.array([0.3, 0.9, 1.4, 2.2, 3.9])
+    t = np.full(5, 0.35)   # one t: the shifts, hence the line, are shared
+    cases = [(check_shift, (x,)), (check_unitarity, (x,)),
+             (check_ssw, (x, t)),
+             (lambda om, lam, w, p: kernel_ratio_rv5_rv3(om, lam, w, p),
+              (lam, x)),
+             *[(lambda om, lam, w, p, f=f: check_feq(f, om, lam, w, p),
+                (lam, x)) for f in FEQ_IDS]]
+    for fn, args in cases:
+        batch = fn(0.7, *args, p)
+        for i in range(5):
+            assert fn(0.7, *(a[i] for a in args), p) == batch[i]
