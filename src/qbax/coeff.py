@@ -71,6 +71,18 @@ def _new(vars, num: dict[int, int], den: int, bound: int) -> "Coefficient":
     return c
 
 
+def _power(one, base, n: int):
+    """base**n for an int n >= 0 by square and multiply, starting from one."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 def _extremes(c: "Coefficient") -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Each variable's lowest and highest exponent in a nonzero c."""
     expos = list(zip(*(_unpack(k, len(c.vars)) for k in c._num)))
@@ -118,7 +130,10 @@ class Coefficient:
     def monomial(cls, vars: tuple[str, ...], scale, **powers: int) -> "Coefficient":
         expo = [0] * len(vars)
         for name, p in powers.items():
-            expo[vars.index(name)] = p
+            try:
+                expo[vars.index(name)] = p
+            except ValueError:
+                raise ValueError(f"no variable {name!r} in {vars}") from None
         return cls(vars, {tuple(expo): scale})
 
     # ---------------------------------------------------------------- queries
@@ -192,22 +207,23 @@ class Coefficient:
             return self.scale(other)
         if self.vars is not other.vars and self.vars != other.vars:
             self._check(other)
+        sn, on = self._num, other._num
+        bound = self._bound + other._bound
+        if len(sn) == 1 == len(on) and bound <= _EMAX:  # monomial times monomial
+            (k1,), (k2,) = sn, on
+            v, den = sn[k1] * on[k2], self._den * other._den
+            if den != 1 and (g := gcd(v, den)) != 1:
+                v, den = v // g, den // g
+            c = object.__new__(Coefficient)
+            c.vars, c._num, c._den, c._bound = self.vars, {k1 + k2: v}, den, bound
+            return c
         # the product is commutative: let `small` be the side with fewer terms
-        small, big = (self, other) if len(self._num) <= len(other._num) else (other, self)
+        small, big = (self, other) if len(sn) <= len(on) else (other, self)
         sn, bn = small._num, big._num
-        bound = small._bound + big._bound
         if len(sn) == 1:
             ((k1, v1),) = sn.items()
             if not k1 and v1 == 1 and small._den == 1:
                 return big
-            if len(bn) == 1 and bound <= _EMAX:  # monomial times monomial
-                ((k2, v2),) = bn.items()
-                v, den = v1 * v2, small._den * big._den
-                if den != 1 and (g := gcd(v, den)) != 1:
-                    v, den = v // g, den // g
-                c = object.__new__(Coefficient)
-                c.vars, c._num, c._den, c._bound = self.vars, {k1 + k2: v}, den, bound
-                return c
         if bound > _EMAX:
             # a variable's extreme exponents in a product are the sums of its
             # factors' (the product of the extreme parts cannot vanish)
@@ -239,19 +255,13 @@ class Coefficient:
                     self._den * r, self._bound)
 
     def __pow__(self, n: int) -> "Coefficient":
+        if not isinstance(n, int):
+            raise TypeError(f"power must be an int, got {n!r}")
         if n < 0:
             return self.monomial_inverse() ** (-n)
         if self._bound * n > _EMAX:
             _pack(self.vars, tuple(max(a * n, b * n, key=abs) for a, b in zip(*_extremes(self))))
-        result = Coefficient.one(self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(Coefficient.one(self.vars), self, n)
 
     def monomial_inverse(self) -> "Coefficient":
         if not self.is_monomial():
@@ -292,7 +302,10 @@ class Coefficient:
 
     def coefficient_of(self, name: str, power: int) -> "Coefficient":
         """The Laurent coefficient of name**power (name removed from the result)."""
-        i = self.vars.index(name)
+        try:
+            i = self.vars.index(name)
+        except ValueError:
+            raise ValueError(f"no variable {name!r} in {self.vars}") from None
         num = {k - (power << _BITS * i): v for k, v in self._num.items()
                if _unpack(k, i + 1)[i] == power}
         return _new(self.vars, num, self._den, self._bound)

@@ -528,7 +528,7 @@ def _casimir_intertwiner_weyl():
     parts = []
     for g in D.covered_gens():
         img = D(Wq.gen(g))
-        parts.append(_zero_poly(W * img - img * W, f"[W, image of {g}]"))
+        parts.append(_zero_poly(W.commutator(img), f"[W, image of {g}]"))
     return _all(parts)
 
 
@@ -543,7 +543,7 @@ def _coproduct_commutant_ad():
     parts = []
     for g in ("a", "d"):
         img = D(GLq2Ext.gen(g))
-        parts.append(_zero_poly(img * X - X * img, f"[Delta({g}), b(x)th]"))
+        parts.append(_zero_poly(img.commutator(X), f"[Delta({g}), b(x)th]"))
     return _all(parts)
 
 
@@ -588,7 +588,7 @@ def _commutator_db_r():
     alg = GLq2ExtP
     db = alg.gen("d", 0) * alg.gen("b", 1)
     r = alg.word(("th", "a"), 0) * alg.word(("th", "d"), 1)
-    lhs = db * r - r * db
+    lhs = db.commutator(r)
     rhs = (alg.param("q") - alg.param("q", -1)) * (
         alg.gen("th", 0) * quantum_determinant(alg, 0) * alg.gen("d", 1)
     )
@@ -952,7 +952,7 @@ def _qdst_charges_commute():
     for n in (2, 3):
         T = transfer(L_qdst, Aq, n)
         Q, H = qdst_charges(Aq, n)
-        parts.append(_zero_poly(Q * H - H * Q, f"N={n}: [Q,H]"))
-        parts.append(_zero_poly(T * Q - Q * T, f"N={n}: [T,Q]"))
-        parts.append(_zero_poly(T * H - H * T, f"N={n}: [T,H]"))
+        parts.append(_zero_poly(Q.commutator(H), f"N={n}: [Q,H]"))
+        parts.append(_zero_poly(T.commutator(Q), f"N={n}: [T,Q]"))
+        parts.append(_zero_poly(T.commutator(H), f"N={n}: [T,H]"))
     return _all(parts)

@@ -16,8 +16,10 @@ is dictionary equality.  Rewriting is memoized per presentation; the diamond
 check for local confluence (`check_confluence`) makes memoized reduction safe.
 Every product runs one multiply-accumulate kernel, `_mul_into`, which adds p q
 term by term into a dict its caller owns: an NCPoly product, or one entry of
-an OpMatrix product (right operands prepared once).  `free_copy()` is one
-rule-free copy per presentation.
+an OpMatrix product.  It reads each operand's kernel form (`_form`: per term
+its site range, site blocks and whether its coefficient is 1), built once per
+NCPoly on first use: an NCPoly is immutable, nothing writes its `terms` after
+construction.  `free_copy()` is one rule-free copy per presentation.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from math import inf
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .coeff import _BITS, QLM, Coefficient, _new
+from .coeff import _BITS, QLM, Coefficient, _new, _power
 
 __all__ = [
     "Presentation",
@@ -76,7 +78,7 @@ class Presentation:
             lhs: {w: c for w, c in rhs.items() if c} for lhs, rhs in rules.items()
         }
         self._reduce_cache: dict[LocalWord, dict[LocalWord, Coefficient]] = {}
-        self._site_cache: dict[tuple[int, LocalWord], _SiteTerms] = {}
+        self._site_cache: dict[Word, _SiteTerms] = {}
         self._free: Presentation | None = None
         self._validate()
 
@@ -100,7 +102,10 @@ class Presentation:
 
     # ------------------------------------------------------------- utilities
     def index(self, gen_name: str) -> int:
-        return self.gens.index(gen_name)
+        try:
+            return self.gens.index(gen_name)
+        except ValueError:
+            raise ValueError(f"{self.name} has no generator {gen_name!r} in {self.gens}") from None
 
     def _lw(self, w: LocalWord) -> str:
         return ".".join(self.gens[g] for g in w) if w else "1"
@@ -125,23 +130,23 @@ class Presentation:
                 continue
             out: dict[LocalWord, Coefficient] = {}
             for rw, rc in rhs.items():
+                unit = rc.is_one()
                 for w2, c2 in self.reduce_local(word[:i] + rw + word[i + 2:]).items():
-                    _accumulate(out, w2, rc * c2)
+                    _accumulate(out, w2, c2 if unit else rc * c2)
             self._reduce_cache[word] = out
             return out
-        out = {word: Coefficient.one(self.vars)}
-        self._reduce_cache[word] = out
+        out = self._reduce_cache[word] = {word: Coefficient.one(self.vars)}
         return out
 
-    def site_terms(self, site: int, word: LocalWord) -> "_SiteTerms":
-        """reduce_local(word) as (letters at site, coefficient) terms, memoized;
-        the coefficient is None where it is 1."""
-        key = (site, word)
-        out = self._site_cache.get(key)
+    def site_terms(self, letters: Word) -> "_SiteTerms":
+        """The normal form of letters at one site as (letters, coefficient)
+        terms, memoized; the coefficient is None where it is 1."""
+        out = self._site_cache.get(letters)
         if out is None:
-            out = tuple((tuple((site, g) for g in w), None if c.is_one() else c)
-                        for w, c in self.reduce_local(word).items())
-            self._site_cache[key] = out
+            site = letters[0][0]
+            out = self._site_cache[letters] = tuple([
+                (tuple([(site, g) for g in w]), None if c.is_one() else c)
+                for w, c in self.reduce_local(tuple([g for _, g in letters])).items()])
         return out
 
     # ---------------------------------------------------------- constructors
@@ -158,9 +163,7 @@ class Presentation:
 
     def gen(self, name: str, site: int = 0) -> "NCPoly":
         g = self.index(name)
-        return NCPoly(
-            self, {((site, g),): Coefficient.one(self.vars)}, normalized=True
-        )
+        return _wrap(self, {((site, g),): Coefficient.one(self.vars)})
 
     def word(self, names: Sequence[str], site: int = 0) -> "NCPoly":
         p = self.one()
@@ -173,9 +176,12 @@ class Presentation:
 
 
 class NCPoly:
-    """A normal-form element of a multi-site copy of a presented algebra."""
+    """A normal-form element of a multi-site copy of a presented algebra.
 
-    __slots__ = ("alg", "terms")
+    Immutable: `terms` is not written after construction, so the kernel
+    form products read (`_form`) is built once per polynomial."""
+
+    __slots__ = ("alg", "terms", "_kernel")
 
     def __init__(
         self,
@@ -188,6 +194,7 @@ class NCPoly:
             self.terms = dict(terms)
         else:
             self.terms = _normal_form(alg, terms)
+        self._kernel = None
 
     # --------------------------------------------------------------- queries
     def is_zero(self) -> bool:
@@ -219,12 +226,10 @@ class NCPoly:
         out = dict(self.terms)
         for w, c in other.terms.items():
             _accumulate(out, w, c)
-        return NCPoly(self.alg, out, normalized=True)
+        return _wrap(self.alg, out)
 
     def __neg__(self) -> "NCPoly":
-        return NCPoly(
-            self.alg, {w: -c for w, c in self.terms.items()}, normalized=True
-        )
+        return _wrap(self.alg, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + (-other)
@@ -234,8 +239,8 @@ class NCPoly:
             return self.scale(other)
         self._check(other)
         out: dict[Word, Coefficient] = {}
-        _mul_into(out, self, _right(other))
-        return NCPoly(self.alg, out, normalized=True)
+        _mul_into(out, _form(self), _form(other), self.alg)
+        return _wrap(self.alg, out)
 
     def __rmul__(self, other) -> "NCPoly":
         if isinstance(other, (int, Fraction, Coefficient)):
@@ -248,20 +253,18 @@ class NCPoly:
         return self.map_coeff(lambda c: c * value)
 
     def __pow__(self, n: int) -> "NCPoly":
+        if not isinstance(n, int):
+            raise TypeError(f"power must be an int, got {n!r}")
         if n < 0:
             raise ValueError("negative powers are not defined for NCPoly")
-        result = self.alg.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self.alg.one(), self, n)
 
     def commutator(self, other: "NCPoly") -> "NCPoly":
-        return self * other - other * self
+        """p q - q p, with q p subtracted inside the dict p q was built in."""
+        out = (self * other).terms
+        for w, c in (other * self).terms.items():
+            _accumulate(out, w, -c)
+        return _wrap(self.alg, out)
 
     # ----------------------------------------------------------------- star
     def star(self) -> "NCPoly":
@@ -273,7 +276,7 @@ class NCPoly:
     # ----------------------------------------------------- coefficient moves
     def map_coeff(self, fn: Callable[[Coefficient], Coefficient]) -> "NCPoly":
         mapped = ((w, fn(c)) for w, c in self.terms.items())
-        return NCPoly(self.alg, {w: c for w, c in mapped if c}, normalized=True)
+        return _wrap(self.alg, {w: c for w, c in mapped if c})
 
     def spread_param(self, src: str, dsts: Iterable[str]) -> "NCPoly":
         """Apply src^n ↦ Π dst^n to every coefficient (spectral substitutions)."""
@@ -310,61 +313,73 @@ class NCPoly:
 
 
 _SiteTerms = tuple[tuple[Word, "Coefficient | None"], ...]
-_SITE, _GEN = itemgetter(0), itemgetter(1)
+_SITE = itemgetter(0)
 
 
-def _blocks(word: Word) -> dict[int, tuple[LocalWord, _SiteTerms]]:
-    """Per site of a normal word, in site order: its local word, and its
-    letters as a one-term part."""
-    blocks = {}
-    for s, letters in groupby(word, _SITE):
-        letters = tuple(letters)
-        blocks[s] = (tuple(map(_GEN, letters)), ((letters, None),))
-    return blocks
+def _wrap(alg: Presentation, terms: dict[Word, Coefficient]) -> NCPoly:
+    """An NCPoly owning `terms`, a normal-form dict nobody else holds."""
+    p = object.__new__(NCPoly)
+    p.alg, p.terms, p._kernel = alg, terms, None
+    return p
 
 
-def _right(q: NCPoly) -> list:
-    """q's terms with their first and last sites and site blocks."""
-    return [(w, c, w[0][0], w[-1][0], _blocks(w)) if w else (w, c, inf, -inf, {})
-            for w, c in q.terms.items()]
+def _form(p: NCPoly) -> list:
+    """p's kernel form, built on first use.  Per term: its word, its
+    coefficient, whether that is 1, its first and last sites, and its site
+    blocks (its letters at each site, in site order)."""
+    if p._kernel is None:
+        p._kernel = form = []
+        for w, c in p.terms.items():
+            first, last = (w[0][0], w[-1][0]) if w else (inf, -inf)
+            form.append((w, c, c.is_one(), first, last, {first: w} if first == last
+                         else {s: tuple(ls) for s, ls in groupby(w, _SITE)}))
+    return p._kernel
 
 
-def _mul_into(out: dict[Word, Coefficient], p: NCPoly, right: list):
-    """out += p q, term by term, for normal p and q = _right(q) over one
-    presentation.
-
-    Words whose site ranges do not overlap are concatenated.  Otherwise one
-    merge of their site blocks reduces the sites both words hold, and a
-    site held by one word only keeps its letters."""
-    site_terms = p.alg.site_terms
-    for w1, c1 in p.terms.items():
-        first1, last1 = (w1[0][0], w1[-1][0]) if w1 else (inf, -inf)
-        blocks1 = None
-        for w2, c2, first2, last2, blocks2 in right:
-            c = c1 * c2
+def _mul_into(out: dict[Word, Coefficient], left: list, right: list, alg: Presentation):
+    """out += p q, term by term, for the kernel forms of normal p and q over
+    alg.  Words whose site ranges do not overlap are concatenated.  Otherwise
+    their sites are merged in order: a site both words hold is reduced, a site
+    held by one keeps its letters, and the word and coefficient grow site by
+    site until a site has more than one term."""
+    site_cache, site_terms, get = alg._site_cache, alg.site_terms, out.get
+    for w1, c1, u1, first1, last1, blocks1 in left:
+        for w2, c2, u2, first2, last2, blocks2 in right:
+            c = c2 if u1 else c1 if u2 else c1 * c2
             if last1 < first2:
-                _accumulate(out, w1 + w2, c)
+                w = w1 + w2
             elif last2 < first1:
-                _accumulate(out, w2 + w1, c)
+                w = w2 + w1
             else:
-                blocks1 = blocks1 or _blocks(w1)
-                _expand([site_terms(s, x[0] + y[0])
-                         if (x := blocks1.get(s)) and (y := blocks2.get(s)) else (x or blocks2[s])[1]
-                         for s in sorted(blocks1.keys() | blocks2.keys())], c, out)
-
-
-def _expand(parts: Sequence[_SiteTerms], coeff: Coefficient, out: dict[Word, Coefficient]):
-    """Add coeff times the product of parts, one per site in site order."""
-    word, combos = (), None
-    for terms in parts:
-        if combos is None and len(terms) == 1:
-            ((t, lc),) = terms
-            word, coeff = word + t, coeff if lc is None else coeff * lc
-        else:
-            combos = [(w + t, c if lc is None else c * lc) for w, c in
-                      ([(word, coeff)] if combos is None else combos) for t, lc in terms]
-    for w, c in [(word, coeff)] if combos is None else combos:
-        _accumulate(out, w, c)
+                w, combos = (), None
+                for s in sorted(blocks1.keys() | blocks2.keys()):
+                    x, y = blocks1.get(s), blocks2.get(s)
+                    if x and y:
+                        part = site_cache.get(letters := x + y) or site_terms(letters)
+                    elif combos is None:
+                        w += x or y
+                        continue
+                    else:
+                        part = ((x or y, None),)
+                    if combos is None and len(part) == 1:
+                        ((t, lc),) = part
+                        w += t
+                        if lc is not None:
+                            c = c * lc
+                    else:
+                        combos = [(cw + t, cc if lc is None else cc * lc) for cw, cc in
+                                  ([(w, c)] if combos is None else combos) for t, lc in part]
+                if combos is not None:
+                    for w, c in combos:
+                        _accumulate(out, w, c)
+                    continue
+            acc = get(w)
+            if acc is None:
+                out[w] = c
+            elif c := acc + c:
+                out[w] = c
+            else:
+                del out[w]
 
 
 def _accumulate(out: dict, key, c: Coefficient):
@@ -379,15 +394,18 @@ def _accumulate(out: dict, key, c: Coefficient):
 
 
 def _normal_form(alg: Presentation, raw: Mapping[Word, Coefficient]) -> dict[Word, Coefficient]:
+    site_cache, site_terms = alg._site_cache, alg.site_terms
     out: dict[Word, Coefficient] = {}
     for word, coeff in raw.items():
         if not coeff:
             continue
-        # Stable-split the word by site: cross-site letters commute freely.
-        by_site: dict[int, list[int]] = {}
-        for (s, g) in word:
-            by_site.setdefault(s, []).append(g)
-        _expand([alg.site_terms(s, tuple(by_site[s])) for s in sorted(by_site)], coeff, out)
+        # Stable-sort the word by site: cross-site letters commute freely.
+        combos = [((), coeff)]
+        for _, letters in groupby(sorted(word, key=_SITE), _SITE):
+            part = site_cache.get(letters := tuple(letters)) or site_terms(letters)
+            combos = [(w + t, c if lc is None else c * lc) for w, c in combos for t, lc in part]
+        for w, c in combos:
+            _accumulate(out, w, c)
     return out
 
 
@@ -420,33 +438,35 @@ class OpMatrix:
     def __getitem__(self, i: int) -> list[NCPoly]:
         return self.rows[i]
 
-    def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
+    def _check(self, other: "OpMatrix"):
         if self.n != other.n:
-            raise ValueError("size mismatch")
-        cols = [[(b, _right(b)) for b in col] for col in zip(*other.rows)]
+            raise ValueError(f"size mismatch: {self.n}x{self.n} vs {other.n}x{other.n}")
+        if self.alg is not other.alg:
+            raise ValueError(f"mixed algebras: {self.alg.name} vs {other.alg.name}")
+
+    def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
+        self._check(other)
+        alg = self.alg
+        cols = [[_form(b) for b in col] for col in zip(*other.rows)]
         rows = []
         for row in self.rows:
             rows.append(entries := [])
+            row = [_form(a) for a in row]
             for col in cols:
                 out: dict[Word, Coefficient] = {}
-                for a, (b, right) in zip(row, col):
-                    if a.terms and right:  # embedded matrices are mostly zero
-                        a._check(b)
-                        _mul_into(out, a, right)
-                entries.append(NCPoly(self.alg, out, normalized=True))
-        return OpMatrix(self.alg, rows)
+                for left, right in zip(row, col):
+                    if left and right:  # embedded matrices are mostly zero
+                        _mul_into(out, left, right, alg)
+                entries.append(_wrap(alg, out))
+        return OpMatrix(alg, rows)
 
     def __add__(self, other: "OpMatrix") -> "OpMatrix":
-        return OpMatrix(
-            self.alg,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
+        self._check(other)
+        return OpMatrix(self.alg, [[a + b for a, b in zip(r1, r2)]
+                                   for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "OpMatrix") -> "OpMatrix":
-        return OpMatrix(
-            self.alg,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
+        return self + (-other)
 
     def __neg__(self) -> "OpMatrix":
         return OpMatrix(self.alg, [[-a for a in r] for r in self.rows])
@@ -713,14 +733,11 @@ def check_confluence(alg: Presentation) -> ConfluenceResult:
 def random_poly(alg: Presentation, rng, n_terms: int = 3, max_len: int = 4, n_sites: int = 1) -> NCPoly:
     """A small random element; deterministic given the rng state."""
     raw: dict[Word, Coefficient] = {}
-    q_shift = _BITS * alg.vars.index("q")
+    randrange, n_gens, q_shift = rng.randrange, len(alg.gens), _BITS * alg.vars.index("q")
     for _ in range(n_terms):
-        length = rng.randrange(max_len + 1)
-        word = tuple(
-            (rng.randrange(n_sites), rng.randrange(len(alg.gens)))
-            for _ in range(length)
-        )
+        word = tuple([(randrange(n_sites), randrange(n_gens))
+                      for _ in range(randrange(max_len + 1))])
         # num/den * q^e, drawn in that order
-        num, den, e = rng.randrange(-4, 5), rng.randrange(1, 4), rng.randrange(-2, 3)
+        num, den, e = randrange(-4, 5), randrange(1, 4), randrange(-2, 3)
         _accumulate(raw, word, _new(alg.vars, {e << q_shift: num} if num else {}, den, abs(e)))
     return NCPoly(alg, raw)

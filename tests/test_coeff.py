@@ -39,6 +39,21 @@ def test_constant_value_rejects_nonconstant():
         (Coefficient.one() + q()).constant_value()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Coefficient.param("z"),
+    lambda: Coefficient.monomial(QLM, 1, zz=2),
+    lambda: q().coefficient_of("z", 1),
+], ids=["param", "monomial", "coefficient_of"])
+def test_unknown_variables_are_refused_by_name(make):
+    with pytest.raises(ValueError, match=r"no variable '(z|zz)' in \('q', 'lam', 'mu'\)"):
+        make()
+
+
+def test_non_integer_powers_are_refused_by_name():
+    with pytest.raises(TypeError, match="power must be an int, got 2.5"):
+        Coefficient.param("q") ** 2.5
+
+
 def test_negative_powers_and_inverse():
     qinv = q(-1)
     assert q() * qinv == Coefficient.one()

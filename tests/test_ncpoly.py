@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -54,6 +55,21 @@ def test_mixed_algebras_raise():
         Aq.gen("k") + Wq.gen("u")
     with pytest.raises(ValueError):
         Aq.gen("k") * Wq.gen("u")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Aq.gen("x"), r"Aq has no generator 'x' in \('e', 'k', 'kinv', 'f'\)"),
+    (lambda: Aq.param("z"), r"no variable 'z' in \('q', 'lam', 'mu'\)"),
+    (lambda: Aq.gen("e").coefficient_of("z", 1), r"no variable 'z' in \('q', 'lam', 'mu'\)"),
+], ids=["gen", "param", "coefficient_of"])
+def test_unknown_names_are_refused_by_name(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_non_integer_powers_are_refused_by_name():
+    with pytest.raises(TypeError, match="power must be an int, got 2.5"):
+        Aq.gen("e") ** 2.5
 
 
 def test_scale_pow_and_zero():
@@ -245,21 +261,80 @@ def test_opmatrix_product_is_the_sum_of_entry_products():
         OpMatrix.identity(Aq, 2) @ OpMatrix.identity(GLq2, 2)
 
 
+@pytest.mark.parametrize("op", [operator.matmul, operator.add, operator.sub])
+def test_opmatrix_operands_are_checked_before_any_entry(op):
+    with pytest.raises(ValueError, match="size mismatch: 2x2 vs 3x3"):
+        op(OpMatrix.identity(Aq, 2), OpMatrix.identity(Aq, 3))
+    # all-zero entries pair no terms, and the algebras are still compared
+    with pytest.raises(ValueError, match="mixed algebras: Aq vs Wq"):
+        op(OpMatrix.zeros(Aq, 2), OpMatrix.identity(Wq, 2))
+
+
 def test_opmatrix_product_prepares_each_right_entry_once(monkeypatch):
-    # a 3 x 3 product reads each right-hand entry in 3 rows, and prepares
-    # it (sites and site blocks of its terms) once
+    # a 3 x 3 product reads each right-hand entry in 3 rows, and prepares its
+    # kernel form (sites and site blocks of its terms) once; each left-hand
+    # entry is prepared once too, and a second product prepares nothing
     from qbax import ncpoly
 
     prepared = []
-    real = ncpoly._right
-    monkeypatch.setattr(ncpoly, "_right",
-                        lambda q: prepared.append(q) or real(q))
+    real = ncpoly._form
+
+    def counting(p):
+        if p._kernel is None:
+            prepared.append(id(p))
+        return real(p)
+
+    monkeypatch.setattr(ncpoly, "_form", counting)
     rng = random.Random("prepare")
     m1, m2 = (OpMatrix(Aq, [[random_poly(Aq, rng, 2, 3, 3) for _ in range(3)]
                             for _ in range(3)]) for _ in range(2))
     got = m1 @ m2
-    assert sorted(map(id, prepared)) == sorted(id(p) for row in m2.rows for p in row)
+    entries = [id(p) for m in (m1, m2) for row in m.rows for p in row]
+    assert sorted(prepared) == sorted(entries)
+    prepared.clear()
+    assert m1 @ m2 == got and prepared == []
     assert got[0][0] == sum((m1[0][k] * m2[k][0] for k in range(3)), Aq.zero())
+
+
+def test_one_polynomial_on_either_side_and_in_a_matrix_product():
+    # the kernel form p keeps from its first product serves it as a left
+    # operand, a right operand and an OpMatrix entry alike
+    rng = random.Random("either-side")
+    for alg in (Aq, GLq2, GLq2.free_copy()):
+        p, a, b = (random_poly(alg, rng, 3, 3, 3) for _ in range(3))
+        pairs = [(p, a), (b, p), (p, p)]
+        products = [x * y for x, y in pairs]
+        zero = alg.zero()
+        m = OpMatrix(alg, [[p, zero], [zero, b]]) @ OpMatrix(alg, [[a, zero], [zero, p]])
+        products += [m[0][0], m[1][1]]  # p a and b p again
+        for got, (x, y) in zip(products, pairs + pairs[:2], strict=True):
+            want = _reference_product(x, y)
+            assert got == want
+            assert list(got.terms) == list(want.terms)
+
+
+def test_a_normalized_polynomial_does_not_share_its_argument():
+    d = {((0, Aq.index("e")),): Coefficient.one()}
+    p = NCPoly(Aq, d, normalized=True)
+    d[((0, Aq.index("f")),)] = Coefficient.rational(2)
+    d[((0, Aq.index("e")),)] = Coefficient.rational(3)
+    assert p == Aq.gen("e") and p.n_terms() == 1
+    assert p * Aq.gen("k") == Aq.gen("e") * Aq.gen("k")
+
+
+@pytest.mark.parametrize("free", [False, True], ids=["rules", "free"])
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_commutator_is_the_difference_of_the_two_products(name, free):
+    alg = ALGEBRAS[name].free_copy() if free else ALGEBRAS[name]
+    rng = random.Random(f"commutator/{name}/{free}")
+    for n_sites in (1, 2, 3):
+        for _ in range(8):
+            p, q = (random_poly(alg, rng, rng.randrange(1, 5), 3, n_sites)
+                    for _ in range(2))
+            for x, y in ((p, q), (q, p), (p, p), (p, alg.one())):
+                got, want = x.commutator(y), x * y - y * x
+                assert got == want
+                assert list(got.terms.items()) == list(want.terms.items())
 
 
 def _random_poly_term_by_term(alg, rng, n_terms=3, max_len=4, n_sites=1):
