@@ -294,7 +294,7 @@ def _build_presentation(name, gens, vars_, rule_lines, unit_lines) -> Presentati
 
 
 def presentation_text(alg: Presentation) -> str:
-    """Render a Presentation back to the block format (round-trips)."""
+    """The block format of a Presentation: the parser's round-trip oracle."""
     lines = [f"algebra {alg.name}", f"vars {' '.join(alg.vars)}", f"gens {' '.join(alg.gens)}"]
     unit_lhs = set()
     for (i, j) in alg.unit_pairs:
@@ -389,7 +389,7 @@ def load_maps(text: str, algebras: Mapping[str, Presentation]) -> dict[str, GenM
 
 
 def map_text(m: GenMap) -> str:
-    """Render a GenMap back to the block format (round-trips)."""
+    """The block format of a GenMap: the parser's round-trip oracle."""
     tgt = " x ".join([m.target.name] * m.arity)
     lines = [f"map {m.name} {m.source.name} -> {tgt}"]
     for g in m.source.gens:
@@ -441,7 +441,7 @@ def load_operators(
 
 
 def operator_text(operators: Iterable[Operator], pairings: Iterable[Pairing] = ()) -> str:
-    """Render operators and pairings back to the block format (round-trips)."""
+    """The block format of operators and pairings: the parser's round-trip oracle."""
     lines = []
     for op in operators:
         lines.append(f"operator {op.__name__} {op.alg.name}")

@@ -359,38 +359,38 @@ Wq = ALGEBRAS["Wq"]
 # distinguished central elements
 # --------------------------------------------------------------------------
 
-def quantum_determinant(alg: Presentation, site: int = 0) -> NCPoly:
-    """a.d - q b.c — central in GLq2 and all its extensions here."""
+def quantum_determinant(alg: Presentation) -> NCPoly:
+    """a.d - q b.c at site 0 — central in GLq2 and all its extensions here."""
     q = alg.param("q")
-    return alg.gen("a", site) * alg.gen("d", site) - q * alg.gen("b", site) * alg.gen("c", site)
+    return alg.gen("a", 0) * alg.gen("d", 0) - q * alg.gen("b", 0) * alg.gen("c", 0)
 
 
-def eta_prime(alg: Presentation, site: int = 0) -> NCPoly:
-    """th.b — central in GLq2Ext, equal to 1 in the primed quotient."""
-    return alg.gen("th", site) * alg.gen("b", site)
+def eta_prime(alg: Presentation) -> NCPoly:
+    """th.b at site 0 — central in GLq2Ext, equal to 1 in the primed quotient."""
+    return alg.gen("th", 0) * alg.gen("b", 0)
 
 
-def eta_dprime(alg: Presentation, site: int = 0) -> NCPoly:
-    """th.c — central in GLq2Ext, equal to 1 in the doubly primed quotient."""
-    return alg.gen("th", site) * alg.gen("c", site)
+def eta_dprime(alg: Presentation) -> NCPoly:
+    """th.c at site 0 — central in GLq2Ext, 1 in the doubly primed quotient."""
+    return alg.gen("th", 0) * alg.gen("c", 0)
 
 
-def casimir_osc(alg: Presentation = Aq, site: int = 0) -> NCPoly:
-    """e.f - q k.k — central in the oscillator algebra."""
-    q = alg.param("q")
-    return alg.gen("e", site) * alg.gen("f", site) - q * alg.gen("k", site) * alg.gen("k", site)
+def casimir_osc() -> NCPoly:
+    """e.f - q k.k at site 0 — central in the oscillator algebra Aq."""
+    q = Aq.param("q")
+    return Aq.gen("e", 0) * Aq.gen("f", 0) - q * Aq.gen("k", 0) * Aq.gen("k", 0)
 
 
-def casimir_weyl(alg: Presentation = Wq, site: int = 0) -> NCPoly:
-    """u.ut — central in the Weyl-pair algebra."""
-    return alg.gen("u", site) * alg.gen("ut", site)
+def casimir_weyl() -> NCPoly:
+    """u.ut at site 0 — central in the Weyl-pair algebra Wq."""
+    return Wq.gen("u", 0) * Wq.gen("ut", 0)
 
 
-def centrality_defects(p: NCPoly, site: int = 0) -> dict[str, NCPoly]:
-    """Commutators of p with every generator at `site`; empty iff central."""
+def centrality_defects(p: NCPoly) -> dict[str, NCPoly]:
+    """Commutators of p with every generator at site 0; empty iff central."""
     out = {}
     for g in p.alg.gens:
-        d = p.commutator(p.alg.gen(g, site))
+        d = p.commutator(p.alg.gen(g, 0))
         if not d.is_zero():
             out[g] = d
     return out

@@ -39,11 +39,12 @@ __all__ = [
     "FieldConfig", "h_liouville", "liouville_bracket_terms", "h_freefield",
     "h_volterra", "r_prime_self_dual", "h_toda", "toda_total",
     # continuum sweeps
-    "ContinuumReport", "continuum_check", "MAX_LEVEL_SITES",
-    "CONTINUUM_MODELS", "default_fields", "sine_fields", "FIELD_PRESETS",
+    "ContinuumReport", "ContinuumRangeError", "continuum_check",
+    "MAX_LEVEL_SITES", "CONTINUUM_MODELS", "default_fields", "sine_fields",
+    "FIELD_PRESETS",
     # light-cone calculus and zero curvature
     "DerivationError", "ZC_VARS", "symbol", "exp_phi", "derive", "on_shell",
-    "zc_curvature", "ZC_PRESETS", "zc_residual", "zc_reduced_is_zero",
+    "zc_curvature", "ZC_PRESETS", "zc_residual",
 ]
 
 
@@ -246,6 +247,14 @@ class ContinuumReport:
         ords = (float("nan"),) + self.orders
         return list(zip(self.kappas, self.errors, ords))
 
+    @property
+    def passed(self) -> bool:   # the one pass rule; a nan order fails
+        return self.order >= 1.0 and self.monotone
+
+
+class ContinuumRangeError(ValueError):
+    """A lattice sum or reference integral that is not finite."""
+
 
 # the most sites one ladder level may hold (the registry's largest is 128)
 MAX_LEVEL_SITES = 2**20
@@ -257,9 +266,9 @@ _GRID_MIN, _GRID_MAX, _GRID_RTOL = 64, 4096, 1e-13
 def _reference_integral(density, phi_fn, pi_fn, beta, length):
     """(integral, points): the periodic trapezoid integral of the density,
     with the spectral derivative of the field, on the first doubled grid
-    whose sum agrees with the previous one (else on the largest).  Smooth
-    periodic fields converge exponentially (Trefethen and Weideman, SIAM
-    Review 56, 2014), so most stop at 128 points."""
+    whose sum agrees with the previous one or is not finite (else on the
+    largest).  Smooth periodic fields converge exponentially (Trefethen and
+    Weideman, SIAM Review 56, 2014), so most stop at 128 points."""
     gamma = beta**2 / 8.0
     n, previous = _GRID_MIN, None
     while True:
@@ -269,8 +278,9 @@ def _reference_integral(density, phi_fn, pi_fn, beta, length):
         k = 2j * math.pi * np.fft.rfftfreq(n, d=h)
         dphi = np.fft.irfft(np.fft.rfft(phi) * k, n=n)
         total = float(np.sum(density(phi, dphi, pi_fn(xs), beta, gamma)) * h)
-        if n >= _GRID_MAX or (previous is not None and abs(total - previous)
-                              <= _GRID_RTOL * abs(total)):
+        if n >= _GRID_MAX or not math.isfinite(total) or (
+                previous is not None and abs(total - previous)
+                <= _GRID_RTOL * abs(total)):
             return total, n
         n, previous = 2 * n, total
 
@@ -293,7 +303,8 @@ def continuum_check(model: str, beta: float = 1.0, length: float = 1.0,
     convergence order: the slope of log error against log kappa.  A level
     of more than MAX_LEVEL_SITES sites or of a site count that is not an
     int, or a beta or length that is not finite and positive, raises
-    ValueError.
+    ValueError, and so does a lattice sum or reference integral that is not
+    finite at the given beta, length and spacing (ContinuumRangeError).
     """
     if model not in CONTINUUM_MODELS:
         raise ValueError(
@@ -316,22 +327,29 @@ def continuum_check(model: str, beta: float = 1.0, length: float = 1.0,
         raise ValueError(f"levels must be whole numbers: {site_counts!r}")
     spec = CONTINUUM_MODELS[model]
     phi_fn, pi_fn = fields if fields is not None else default_fields(length)
-    integral, grid = _reference_integral(spec["density"], phi_fn, pi_fn,
-                                         beta, length)
-
-    # per-link additive constant: the zero-field value at vanishing spacing
-    c = float(spec["per_link"](FieldConfig(
-        phi=np.zeros(2), pi=np.zeros(2), kappa=1e-9, beta=beta))[0])
-
-    errors, kappas = [], []
-    for n in site_counts:
-        kappa = length / n
-        x = kappa * np.arange(n)
-        cfg = FieldConfig(phi=phi_fn(x), pi=kappa * pi_fn(x),
-                          kappa=kappa, beta=beta)
-        lattice = float(np.sum(spec["per_link"](cfg) - c)) / kappa
-        errors.append(abs(lattice - integral))
-        kappas.append(kappa)
+    kappas = [length / n for n in site_counts]
+    errors, kappa = [], kappas[0]
+    with np.errstate(all="ignore"):   # out of range is refused, not warned
+        try:
+            integral, grid = _reference_integral(spec["density"], phi_fn,
+                                                 pi_fn, beta, length)
+            if not math.isfinite(integral):
+                raise OverflowError("the reference integral is not finite")
+            # the per-link constant: the zero-field value at vanishing spacing
+            c = float(spec["per_link"](FieldConfig(
+                phi=np.zeros(2), pi=np.zeros(2), kappa=1e-9, beta=beta))[0])
+            for n, kappa in zip(site_counts, kappas):
+                x = kappa * np.arange(n)
+                cfg = FieldConfig(phi=phi_fn(x), pi=kappa * pi_fn(x),
+                                  kappa=kappa, beta=beta)
+                lattice = float(np.sum(spec["per_link"](cfg) - c)) / kappa
+                errors.append(abs(lattice - integral))
+                if not math.isfinite(errors[-1]):
+                    raise OverflowError("a lattice sum is not finite")
+        except ArithmeticError as exc:   # an overflow, or an underflow to 0
+            raise ContinuumRangeError(
+                f"beta {beta:g}, length {length:g} and kappa {kappa:g} are "
+                f"out of range: {exc.args[-1]}") from exc
 
     orders = tuple(
         math.log2(errors[i] / errors[i + 1]) if errors[i + 1] > 0 else
@@ -478,8 +496,3 @@ def zc_residual(preset: str):
     if preset not in ZC_PRESETS:
         raise ValueError(f"unknown preset {preset!r}; known: {sorted(ZC_PRESETS)}")
     return zc_curvature(*ZC_PRESETS[preset]())
-
-
-def zc_reduced_is_zero(preset: str) -> bool:
-    _, reduced = zc_residual(preset)
-    return all(e.is_zero() for e in reduced.flat)

@@ -153,14 +153,6 @@ class Coefficient:
     def is_monomial(self) -> bool:
         return len(self._num) == 1
 
-    def constant_value(self) -> Fraction:
-        """The rational value, if no variable actually occurs; raises otherwise."""
-        if not self._num:
-            return Fraction(0)
-        if len(self._num) != 1 or 0 not in self._num:
-            raise ValueError(f"not a constant: {self}")
-        return Fraction(self._num[0], self._den)
-
     def __bool__(self) -> bool:
         return bool(self._num)
 

@@ -1,8 +1,8 @@
 """Cyclic finite-dimensional representations at q a root of unity.
 
-At q = exp(2 pi i m / N) with gcd(m, N) = 1 and odd N, the Weyl pair and
-the q-oscillator algebra admit N-dimensional representations built from
-the clock matrix K = diag(q^j) and the cyclic shift V (V e_j = e_{j+1}):
+At q = exp(2 pi i / N) with odd N, the Weyl pair and the q-oscillator
+algebra admit N-dimensional representations built from the clock matrix
+K = diag(q^j) and the cyclic shift V (V e_j = e_{j+1}):
 
   * Weyl pair:      u = K,  v = V,  u~ = z u^-1     (central u u~ = z)
   * q-oscillator:   k = K,  e = V^-1,  f = B V with B = diag(c + q^(2j-1))
@@ -66,13 +66,11 @@ __all__ = [
 ]
 
 
-def root_of_unity(N: int, m: int = 1) -> complex:
-    """q = exp(2 pi i m / N); N must be odd >= 3 and coprime to m."""
+def root_of_unity(N: int) -> complex:
+    """q = exp(2 pi i / N); N must be odd >= 3."""
     if N < 3 or N % 2 == 0:
         raise ValueError(f"N must be odd and >= 3, got {N}")
-    if math.gcd(m, N) != 1:
-        raise ValueError(f"m = {m} is not coprime to N = {N}")
-    return cmath.exp(2j * math.pi * m / N)
+    return cmath.exp(2j * math.pi / N)
 
 
 def clock(N: int, q: complex) -> np.ndarray:
@@ -87,11 +85,11 @@ def shift(N: int) -> np.ndarray:
     return V
 
 
-def weyl_rep(N: int, m: int = 1, z: complex = 1.0) -> dict[str, np.ndarray]:
+def weyl_rep(N: int, z: complex = 1.0) -> dict[str, np.ndarray]:
     """Clock-and-shift Weyl pair with central value u u~ = z."""
     if z == 0:
         raise ValueError("z must be nonzero (u~ = z u^-1 would vanish)")
-    q = root_of_unity(N, m)
+    q = root_of_unity(N)
     u = clock(N, q)
     v = shift(N)
     return {
@@ -102,9 +100,9 @@ def weyl_rep(N: int, m: int = 1, z: complex = 1.0) -> dict[str, np.ndarray]:
     }
 
 
-def qosc_rep(N: int, m: int = 1, c: complex = 2.0 + 0.5j) -> dict[str, np.ndarray]:
+def qosc_rep(N: int, c: complex = 2.0 + 0.5j) -> dict[str, np.ndarray]:
     """Cyclic q-oscillator representation with central value e f - q k^2 = c."""
-    q = root_of_unity(N, m)
+    q = root_of_unity(N)
     weights = np.array([c + q ** (2 * j - 1) for j in range(N)], dtype=complex)
     if np.min(np.abs(weights)) < 1e-9:
         raise ValueError(
@@ -120,9 +118,9 @@ def qosc_rep(N: int, m: int = 1, c: complex = 2.0 + 0.5j) -> dict[str, np.ndarra
     }
 
 
-def glq2ext_rep(N: int, m: int = 1, c: complex = 2.0 + 0.5j) -> dict[str, np.ndarray]:
+def glq2ext_rep(N: int, c: complex = 2.0 + 0.5j) -> dict[str, np.ndarray]:
     """Extended quantum-matrix generators through the oscillator collapse."""
-    osc = qosc_rep(N, m, c)
+    osc = qosc_rep(N, c)
     return {
         "a": osc["e"],
         "b": osc["k"],

@@ -590,7 +590,7 @@ def _commutator_db_r():
     r = alg.word(("th", "a"), 0) * alg.word(("th", "d"), 1)
     lhs = db.commutator(r)
     rhs = (alg.param("q") - alg.param("q", -1)) * (
-        alg.gen("th", 0) * quantum_determinant(alg, 0) * alg.gen("d", 1)
+        alg.gen("th", 0) * quantum_determinant(alg) * alg.gen("d", 1)
     )
     return _zero_poly(lhs - rhs)
 

@@ -102,8 +102,8 @@ def embed(M: OpMatrix, legs: tuple[int, ...], n_legs: int) -> OpMatrix:
 # diagonal (weight) twists
 # --------------------------------------------------------------------------
 
-def weight_twist(M: OpMatrix, weights: Sequence[int], param: str = "lam") -> OpMatrix:
-    """Entry (i, j) times param^((weights[j]-weights[i])/2); must be integral."""
+def weight_twist(M: OpMatrix, weights: Sequence[int]) -> OpMatrix:
+    """Entry (i, j) times lam^((weights[j]-weights[i])/2); must be integral."""
     out = OpMatrix.zeros(M.alg, M.n)
     for i in range(M.n):
         for j in range(M.n):
@@ -113,18 +113,18 @@ def weight_twist(M: OpMatrix, weights: Sequence[int], param: str = "lam") -> OpM
             d = weights[j] - weights[i]
             if d % 2:
                 raise ValueError(f"half-integer twist power at entry ({i},{j})")
-            out.rows[i][j] = p * M.alg.param(param, d // 2) if d else p
+            out.rows[i][j] = p * M.alg.param("lam", d // 2) if d else p
     return out
 
 
-def aux_twist(L: OpMatrix, param: str = "lam") -> OpMatrix:
-    """2x2 spin twist: upper-right gains param, lower-left loses it."""
-    return weight_twist(L, (-1, 1), param)
+def aux_twist(L: OpMatrix) -> OpMatrix:
+    """2x2 spin twist: upper-right gains lam, lower-left loses it."""
+    return weight_twist(L, (-1, 1))
 
 
-def r_twist(R: OpMatrix, param: str = "lam") -> OpMatrix:
+def r_twist(R: OpMatrix) -> OpMatrix:
     """4x4 twist moving spectral weight off the middle-block off-diagonals."""
-    return weight_twist(R, (0, -1, 1, 0), param)
+    return weight_twist(R, (0, -1, 1, 0))
 
 
 # The catalog's operators under their own names, in OPERATOR_TEXT order.
@@ -190,7 +190,9 @@ def qdet_scan(L: OpMatrix) -> dict[str, NCPoly]:
 # --------------------------------------------------------------------------
 
 def monodromy(L_builder, alg: Presentation, n_sites: int) -> OpMatrix:
-    """Ordered product L(site n-1) ... L(site 0) over the auxiliary space."""
+    """L(site n-1) ... L(site 0) over the auxiliary space; ValueError below one site."""
+    if n_sites < 1:
+        raise ValueError(f"n_sites must be at least 1, got {n_sites!r}")
     M = L_builder(alg, site=n_sites - 1)
     for s in range(n_sites - 2, -1, -1):
         M = M @ L_builder(alg, site=s)
@@ -235,6 +237,8 @@ def cyclic_commutator(p: NCPoly, q: NCPoly, n_sites: int) -> NCPoly:
     """p q - q p for p, q invariant under the site shift t -> t + 1 mod
     n_sites (else ValueError): per orbit size m, [r, q] for the sum r of p's
     terms on one word per orbit, added with its shifts by 1, ..., m - 1."""
+    if n_sites < 1:
+        raise ValueError(f"n_sites must be at least 1, got {n_sites!r}")
     _orbits(q, n_sites)
     return _orbit_commutator(_orbits(p, n_sites), p, q, n_sites)
 
@@ -244,7 +248,7 @@ def transfer_mode_commutators(L_builder, alg: Presentation,
     """The nonzero [T_j, T_k], j < k, of the Laurent modes of the transfer
     matrix T(lam) = sum_j lam^j T_j; each T_j has coefficients in q alone
     and is shift invariant like T, so [T_j, T_k] is a `cyclic_commutator`
-    (each mode is grouped into orbits once)."""
+    (each mode is grouped into orbits once); ValueError below one site."""
     T = transfer(L_builder, alg, n_sites)
     modes = {j: T.coefficient_of("lam", j) for j in sorted(T.param_degrees("lam"))}
     orbits = {j: _orbits(T_j, n_sites) for j, T_j in modes.items()}
@@ -272,6 +276,8 @@ def transfer_commutation_defect(L_builder, alg: Presentation, n_sites: int) -> N
 def qdst_charges(alg: Presentation, n_sites: int) -> tuple[NCPoly, NCPoly]:
     """(Q, H): product of k's, and the hopping charge whose product with Q is
     the lam^0 part of the two-site qdst transfer matrix."""
+    if n_sites < 1:
+        raise ValueError(f"n_sites must be at least 1, got {n_sites!r}")
     Q = alg.one()
     for s in range(n_sites):
         Q = Q * alg.gen("k", s)

@@ -138,8 +138,7 @@ class DilogParams:
 # compact product (|q| < 1)
 # --------------------------------------------------------------------------
 
-def s_compact(x, q: complex, tol: float = 1e-14,
-              max_terms: int = 100_000) -> complex:
+def s_compact(x, q: complex, tol: float = 1e-14) -> complex:
     """prod_{n>=1} (1 + x q^(2n-1)), truncated by the geometric tail bound.
 
     The log of the tail past n is below |x| |q|^(2n+1) / (1 - |q|^2), so the
@@ -152,7 +151,7 @@ def s_compact(x, q: complex, tol: float = 1e-14,
     term = q  # q^(2n-1) at n = 1
     q2 = q * q
     ax = np.max(np.abs(x))
-    for n in range(1, max_terms + 1):
+    for _ in range(100_000):
         out *= 1.0 + x * term
         term *= q2
         if ax * abs(term) / (1.0 - aq * aq) < tol:
@@ -389,7 +388,7 @@ def check_self_dual(omega: float, s, p: DilogParams | None = None):
     return _shaped(list(map(_rel, left, right)), shape)
 
 
-def check_product_consistency(omega: complex, x, tol: float = 1e-15):
+def check_product_consistency(omega: complex, x):
     """Integral versus double-product form, at complex omega.
 
     For omega with a small positive imaginary part both |q| and |q_hat| drop
@@ -406,8 +405,8 @@ def check_product_consistency(omega: complex, x, tol: float = 1e-15):
     integral = _eval_log(ell, om, DilogParams.steps, 1e-8)
     q = cmath.exp(1j * cmath.pi * om * om)
     q_hat = cmath.exp(-1j * cmath.pi / (om * om))
-    compact = (s_compact(np.array(xs), q, tol)
-               / s_compact(np.exp(ell / (om * om)), q_hat, tol))
+    compact = (s_compact(np.array(xs), q, 1e-15)
+               / s_compact(np.exp(ell / (om * om)), q_hat, 1e-15))
     return _shaped(list(map(_rel, integral.tolist(), compact.tolist())), shape)
 
 

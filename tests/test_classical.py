@@ -1,6 +1,7 @@
 """Classical lattice Hamiltonians, continuum sweeps, and zero curvature."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from qbax.classical import (
     FIELD_PRESETS,
     MAX_LEVEL_SITES,
     ZC_PRESETS,
+    ContinuumRangeError,
     DerivationError,
     FieldConfig,
     continuum_check,
@@ -28,7 +30,6 @@ from qbax.classical import (
     symbol,
     toda_total,
     zc_curvature,
-    zc_reduced_is_zero,
     zc_residual,
 )
 
@@ -212,6 +213,19 @@ def test_continuum_beta_and_length_must_be_finite_and_positive(bad):
         continuum_check("liouville", **bad)
 
 
+@pytest.mark.parametrize("bad", [{"length": 1e300}, {"length": 1e-300},
+                                 {"beta": 1e6}, {"beta": 1e200},
+                                 {"length": 1e-320}])
+def test_continuum_overflow_is_a_range_error(bad):
+    # finite inputs whose sums, errors or reference integral are not: an
+    # OverflowError, a table of inf errors or RuntimeWarnings before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ContinuumRangeError,
+                           match="beta .*, length .* and kappa .* are out"):
+            continuum_check("liouville", n0=16, levels=2, **bad)
+
+
 def test_continuum_accepts_numpy_integer_levels():
     a = continuum_check("liouville", site_counts=[16, 32, 64])
     b = continuum_check("liouville", site_counts=list(np.array([16, 32, 64])))
@@ -325,10 +339,10 @@ def test_zero_curvature_residuals():
 @pytest.mark.parametrize("preset", ["liouville", "free-volterra",
                                     "free-liouville"])
 def test_zero_curvature_closes_on_shell(preset):
-    raw, _ = zc_residual(preset)
+    raw, reduced = zc_residual(preset)
     raw_terms = {"liouville": 4, "free-volterra": 2, "free-liouville": 2}
     assert sum(len(e.terms) for row in raw for e in row) == raw_terms[preset]
-    assert zc_reduced_is_zero(preset)
+    assert all(e.is_zero() for e in reduced.flat)
 
 
 def test_a_perturbed_connection_does_not_close():

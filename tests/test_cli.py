@@ -1,9 +1,11 @@
 """Command-line behaviour: verbs, filters, formats, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,23 @@ from qbax.cli import main
 def test_no_command_prints_help_and_exits_2(capsys):
     assert main([]) == 2
     assert "verify" in capsys.readouterr().out
+
+
+def test_help_lists_exactly_three_verbs(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{verify,continuum,report}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["qdilog"], ["rep"], ["classical"],
+                                  ["classical", "continuum"]])
+def test_removed_verbs_are_usage_errors(capsys, argv):
+    # `verify --filter` and `continuum` do what these did; no alias is kept
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_verify_filtered_subset_passes(capsys):
@@ -84,28 +103,28 @@ def test_seed_must_be_a_non_negative_integer(capsys, seed):
 
 
 def test_qdilog_verb(capsys):
-    code = main(["qdilog"])
+    code = main(["verify", "--filter", "qdilog-*"])
     out = capsys.readouterr().out
     assert code == 0
     assert "10 passed" in out
 
 
 def test_classical_verb(capsys):
-    code = main(["classical"])
+    code = main(["verify", "--filter", "classical-*"])
     out = capsys.readouterr().out
     assert code == 0
     assert "10 passed" in out
 
 
 def test_rep_subset_via_filter(capsys):
-    # the rep verb runs the slow transfer check; exercise one cheap id instead
+    # rep-* runs the slow transfer check; exercise one cheap id instead
     code = main(["verify", "--filter", "rep-relations"])
     assert code == 0
     assert "[PASS] rep-relations" in capsys.readouterr().out
 
 
 def test_continuum_table_text(capsys):
-    code = main(["classical", "continuum", "--model", "liouville",
+    code = main(["continuum", "--model", "liouville",
                  "--n0", "8", "--levels", "3"])
     out = capsys.readouterr().out
     assert code == 0
@@ -116,10 +135,10 @@ def test_continuum_table_text(capsys):
 
 
 def test_continuum_table_json_with_sine_field(capsys):
-    code = main(["classical", "continuum", "--model", "freefield_volterra",
+    code = main(["continuum", "--model", "freefield_volterra",
                  "--field", "sine", "--n0", "8", "--levels", "3",
                  "--format", "json"])
-    payload = json.loads(capsys.readouterr().out)
+    payload = json.loads(capsys.readouterr().out)[0]
     assert code == 0
     assert payload["model"] == "freefield_volterra"
     assert payload["field"] == "sine"
@@ -130,7 +149,7 @@ def test_continuum_table_json_with_sine_field(capsys):
 
 
 def test_continuum_explicit_kappa_list(capsys):
-    code = main(["classical", "continuum", "--model", "liouville",
+    code = main(["continuum", "--model", "liouville",
                  "--kappa-list", "0.125,0.0625"])
     out = capsys.readouterr().out
     assert code == 0
@@ -138,7 +157,7 @@ def test_continuum_explicit_kappa_list(capsys):
 
 
 def test_continuum_bad_kappa_list(capsys):
-    code = main(["classical", "continuum", "--model", "liouville",
+    code = main(["continuum", "--model", "liouville",
                  "--kappa-list", "0.1,zebra"])
     err = capsys.readouterr().err
     assert code == 2
@@ -146,7 +165,7 @@ def test_continuum_bad_kappa_list(capsys):
 
 
 def test_continuum_kappa_too_large_for_the_box(capsys):
-    code = main(["classical", "continuum", "--model", "liouville",
+    code = main(["continuum", "--model", "liouville",
                  "--kappa-list", "0.9"])
     err = capsys.readouterr().err
     assert code == 2
@@ -155,7 +174,7 @@ def test_continuum_kappa_too_large_for_the_box(capsys):
 
 def test_continuum_unknown_model_rejected_by_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["classical", "continuum", "--model", "toda"])
+        main(["continuum", "--model", "toda"])
     assert exc.value.code == 2
 
 
@@ -197,16 +216,80 @@ def test_report_json(capsys):
     ["--levels", "1000000000"],       # rejected before any level is formed
     ["--kappa-list", "1e-300,0.1"],
     ["--kappa-list", "1e-320,0.1"],   # length/kappa overflows to inf
+    # finite flags whose sums or reference integral are not finite
+    ["--length", "1e300"],
+    ["--length", "1e-300"],
+    ["--beta", "1e6"],
+    ["--length", "1e-320"],           # the reference grid's spacing is 0
+    ["--levels", "40"],
+    ["--beta", "nan"],
+    ["--levels", "x"],
 ])
 def test_continuum_bad_input_is_a_usage_error(capsys, flags):
     # each of these used to end in a traceback (ZeroDivisionError, a nan
     # conversion or a bare ValueError from continuum_check)
-    try:
-        code = main(["classical", "continuum", "--model", "liouville", *flags])
-    except SystemExit as exc:
-        code = exc.code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = main(["continuum", "--model", "liouville", *flags])
+        except SystemExit as exc:
+            code = exc.code
     assert code == 2
-    assert flags[0].split("=")[0] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and flags[0].split("=")[0] in err
+
+
+# smallest ladder of the sweep over every model and field preset
+SWEEP_ARGS = ["continuum", "--n0", "2", "--levels", "2"]
+
+
+def test_continuum_sweeps_every_model_and_field_by_default(capsys):
+    assert main(SWEEP_ARGS) == 0
+    out = capsys.readouterr().out
+    heads = [ln for ln in out.splitlines() if ln.startswith("model ")]
+    assert heads == [f"model {m}  (beta 1, length 1, field {f})"
+                     for m in ("freefield_liouvillelimit", "freefield_volterra",
+                               "liouville") for f in ("default", "sine")]
+    assert main([*SWEEP_ARGS, "--format", "json"]) == 0
+    tables = json.loads(capsys.readouterr().out)
+    assert [(t["model"], t["field"]) for t in tables] == [
+        (h.split()[1], h.split()[-1][:-1]) for h in heads]
+
+
+def test_continuum_field_alone_selects_every_model(capsys):
+    assert main([*SWEEP_ARGS, "--field", "sine", "--format", "json"]) == 0
+    tables = json.loads(capsys.readouterr().out)
+    assert [t["field"] for t in tables] == ["sine"] * 3
+
+
+@pytest.mark.parametrize("change", [{"monotone": False}, {"order": 0.5},
+                                    {"order": float("nan")}])
+def test_a_failing_ladder_fails_the_check_and_the_table(monkeypatch, capsys,
+                                                        change):
+    # one pass rule, ContinuumReport.passed, read by the registry check and
+    # by qbax continuum
+    import qbax.classical
+    import qbax.registry
+
+    real = qbax.classical.continuum_check
+
+    def one_bad(model, **kwargs):
+        rep = real(model, **kwargs)
+        return dataclasses.replace(rep, **change) if model == "liouville" \
+            else rep
+
+    monkeypatch.setattr(qbax.classical, "continuum_check", one_bad)
+    monkeypatch.setattr(qbax.registry, "continuum_check", one_bad)
+    report = qbax.registry.run_suite(pattern="classical-continuum-*")
+    assert {r.check_id: r.status for r in report.results} == {
+        "classical-continuum-liouville": "fail",
+        "classical-continuum-freefield_volterra": "pass",
+        "classical-continuum-freefield_liouvillelimit": "pass"}
+    assert main(SWEEP_ARGS) == 1
+    err = capsys.readouterr().err
+    assert "error: order below 1 or not monotone: " \
+        "liouville/default, liouville/sine" in err
+    assert "freefield" not in err
 
 
 # ---------------------------------------------------------------------------

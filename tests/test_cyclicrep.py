@@ -44,8 +44,6 @@ def test_root_of_unity_validation():
         root_of_unity(4)  # even
     with pytest.raises(ValueError):
         root_of_unity(1)
-    with pytest.raises(ValueError):
-        root_of_unity(9, 3)  # not coprime
 
 
 def test_rep_constructors_reject_degenerate_input():

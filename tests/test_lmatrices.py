@@ -123,6 +123,38 @@ def test_monodromy_ordering_and_single_site_transfer():
     assert transfer(L_weyl, Wq, 1) == L[0][0] + L[1][1]
 
 
+@pytest.mark.parametrize("n_sites", [0, -2])
+def test_monodromy_refuses_fewer_than_one_site(n_sites):
+    # transfer() at 0 sites returned one L's trace at site -1
+    with pytest.raises(ValueError, match="n_sites"):
+        monodromy(L_qdst, Aq, n_sites)
+    with pytest.raises(ValueError, match="n_sites"):
+        transfer(L_qdst, Aq, n_sites)
+
+
+@pytest.mark.parametrize("n_sites", [0, -2])
+def test_transfer_mode_commutators_refuse_fewer_than_one_site(n_sites):
+    # transfer_commutation_defect at 0 sites raised ZeroDivisionError
+    with pytest.raises(ValueError, match="n_sites"):
+        transfer_mode_commutators(L_qdst, Aq, n_sites)
+    with pytest.raises(ValueError, match="n_sites"):
+        transfer_commutation_defect(L_qdst, Aq, n_sites)
+
+
+@pytest.mark.parametrize("n_sites", [0, -2])
+def test_cyclic_commutator_refuses_fewer_than_one_site(n_sites):
+    p = Aq.gen("e", 0)
+    with pytest.raises(ValueError, match="n_sites"):
+        cyclic_commutator(p, p, n_sites)
+
+
+@pytest.mark.parametrize("n_sites", [0, -2])
+def test_qdst_charges_refuse_fewer_than_one_site(n_sites):
+    # at 0 sites they came back as (1, 0)
+    with pytest.raises(ValueError, match="n_sites"):
+        qdst_charges(Aq, n_sites)
+
+
 def test_qdst_charges_two_sites():
     Q, H = qdst_charges(Aq, 2)
     k0, k1 = Aq.gen("k", 0), Aq.gen("k", 1)

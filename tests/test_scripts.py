@@ -11,7 +11,6 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # smallest arguments per script; every script must have an entry
 SMALL_ARGS = {
     "charge_tower.py": ["--clock-sizes", "3", "--sites", "2"],
-    "continuum_sweep.py": ["--n0", "2", "--levels", "2"],
     "dilog_defect_grid.py": ["--omegas", "0.5", "--x-count", "2"],
 }
 
@@ -33,19 +32,6 @@ def test_every_script_has_small_arguments():
 def test_script_runs_at_its_smallest_size(monkeypatch, capsys, name):
     assert _run(monkeypatch, name, SMALL_ARGS[name]) in (0, None)
     assert capsys.readouterr().out
-
-
-@pytest.mark.parametrize("args", [
-    ["--n0", "1"],
-    ["--levels", "40"],
-    ["--beta", "nan"],
-    ["--length", "0"],
-    ["--levels", "x"],
-])
-def test_continuum_sweep_bad_input_is_a_usage_error(monkeypatch, capsys, args):
-    assert _run(monkeypatch, "continuum_sweep.py", args) == 2
-    err = capsys.readouterr().err
-    assert "error:" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("name, args", [
@@ -116,29 +102,6 @@ def test_dilog_grid_exits_1_when_a_defect_exceeds_the_tolerance(
     assert _run(monkeypatch, "dilog_defect_grid.py",
                 SMALL_ARGS["dilog_defect_grid.py"]) == 1
     assert f"exceeds 1e-08 at {where}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("change", [{"monotone": False}, {"order": 0.5},
-                                    {"order": float("nan")}])
-def test_continuum_sweep_exits_1_when_a_ladder_fails(monkeypatch, capsys,
-                                                     change):
-    import dataclasses
-
-    import qbax.classical
-
-    real = qbax.classical.continuum_check
-
-    def one_bad(model, **kwargs):
-        rep = real(model, **kwargs)
-        return dataclasses.replace(rep, **change) if model == "liouville" \
-            else rep
-
-    monkeypatch.setattr(qbax.classical, "continuum_check", one_bad)
-    assert _run(monkeypatch, "continuum_sweep.py",
-                SMALL_ARGS["continuum_sweep.py"]) == 1
-    err = capsys.readouterr().err
-    assert "liouville/default, liouville/sine" in err
-    assert "freefield" not in err
 
 
 @pytest.mark.parametrize("sites", ["4", "3,1000"])
