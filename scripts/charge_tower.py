@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from qbax.catalog import Aq
-from qbax.cli import _comma_list, _int_at_least
+from qbax.cli import comma_list, int_at_least
 from qbax.cyclicrep import (
     qdst_charge_fit,
     qosc_rep,
@@ -30,7 +30,7 @@ TOL = 1e-10
 
 def _clock_size(text: str) -> int:
     """An argparse type: an odd integer >= 3 (root_of_unity needs one)."""
-    N = _int_at_least(3)(text)
+    N = int_at_least(3)(text)
     if N % 2 == 0:
         raise argparse.ArgumentTypeError(f"must be odd: {text}")
     return N
@@ -39,10 +39,10 @@ def _clock_size(text: str) -> int:
 def main() -> None:
     # bad input is a usage error (exit status 2), not a traceback
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--clock-sizes", type=_comma_list(_clock_size),
+    ap.add_argument("--clock-sizes", type=comma_list(_clock_size),
                     default="3,5,7,9",
                     help="comma-separated odd clock sizes N >= 3")
-    ap.add_argument("--sites", type=_comma_list(_int_at_least(2)),
+    ap.add_argument("--sites", type=comma_list(int_at_least(2)),
                     default="2,3",
                     help="comma-separated chain lengths >= 2; the dimension "
                          f"N**sites must stay at most {MAX_DIM}")

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from qbax.cli import _comma_list, _int_at_least, _positive
+from qbax.cli import comma_list, int_at_least, positive
 from qbax.qdilog import (
     FEQ_IDS,
     DilogDomainError,
@@ -78,13 +78,13 @@ def _grid(args: argparse.Namespace) -> list[str]:
 def main() -> None:
     # bad input is a usage error (exit status 2), not a traceback
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--omegas", type=_comma_list(_omega),
+    ap.add_argument("--omegas", type=comma_list(_omega),
                     default="0.3,0.5,0.7,0.9",
                     help="comma-separated omegas in (0, 1)")
-    ap.add_argument("--x-decades", type=_positive, default=2.0,
+    ap.add_argument("--x-decades", type=positive, default=2.0,
                     help="x ranges over 10^[-d, d] (default d=2)")
-    ap.add_argument("--x-count", type=_int_at_least(1), default=9)
-    ap.add_argument("--steps", type=_positive, default=DilogParams.steps,
+    ap.add_argument("--x-count", type=int_at_least(1), default=9)
+    ap.add_argument("--steps", type=positive, default=DilogParams.steps,
                     help="the trapezoid step is 2 pi d / STEPS for a strip "
                          f"of half-width d (default {DilogParams.steps})")
     ap.add_argument("--seed", type=int, default=0)

@@ -235,7 +235,7 @@ class ContinuumReport:
     model: str
     kappas: tuple[float, ...]
     errors: tuple[float, ...]
-    orders: tuple[float, ...]   # successive log2(err_k / err_{k+1})
+    orders: tuple[float, ...]   # log2(err_k/err_k+1) / log2(kappa_k/kappa_k+1)
     order: float                # least-squares slope of log error vs log kappa
     constant: float             # per-link additive constant (zero-field value)
     monotone: bool              # errors strictly decreasing under refinement
@@ -352,8 +352,8 @@ def continuum_check(model: str, beta: float = 1.0, length: float = 1.0,
                 f"out of range: {exc.args[-1]}") from exc
 
     orders = tuple(
-        math.log2(errors[i] / errors[i + 1]) if errors[i + 1] > 0 else
-        float("inf") for i in range(len(errors) - 1))
+        math.log2(e1 / e2) / math.log2(k1 / k2) if e2 > 0 else float("inf")
+        for e1, e2, k1, k2 in zip(errors, errors[1:], kappas, kappas[1:]))
     # least-squares slope of log error against log kappa, in closed form
     xs = [math.log(k) for k in kappas]
     ys = [math.log(max(e, 1e-300)) for e in errors]

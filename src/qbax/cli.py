@@ -14,6 +14,7 @@ byte-identical JSON.
 
 `main` pins BLAS to one thread before numpy loads, unless the thread
 variables are set: on the checks' small matrices more threads cost more.
+`positive`, `int_at_least` and `comma_list` are the scripts' argument types.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 import textwrap
 
 
-def _positive(text: str) -> float:
+def positive(text: str) -> float:
     """A finite, positive float (a nan --tol would fail every check)."""
     value = float(text)
     if not math.isfinite(value) or value <= 0:
@@ -34,7 +35,7 @@ def _positive(text: str) -> float:
     return value
 
 
-def _int_at_least(low: int):
+def int_at_least(low: int):
     """An argparse type: an integer of at least `low`."""
     def parse(text: str) -> int:
         try:
@@ -47,7 +48,7 @@ def _int_at_least(low: int):
     return parse
 
 
-def _comma_list(item):
+def comma_list(item):
     """An argparse type: a non-empty comma-separated list, each entry parsed
     by the argparse type `item`."""
     def parse(text: str) -> list:
@@ -74,7 +75,7 @@ def _cmd_continuum(args: argparse.Namespace) -> int:
     site_counts = None
     if args.kappa_list:
         try:
-            kappas = _comma_list(_positive)(args.kappa_list)
+            kappas = comma_list(positive)(args.kappa_list)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             print(f"error: bad --kappa-list {args.kappa_list!r}: {exc}",
                   file=sys.stderr)
@@ -163,9 +164,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser(
         "verify", help="run the full check registry")
-    p_verify.add_argument("--seed", type=_int_at_least(0), default=0,
+    p_verify.add_argument("--seed", type=int_at_least(0), default=0,
                           help="base seed for all sampled checks (default 0)")
-    p_verify.add_argument("--tol", type=_positive, default=None,
+    p_verify.add_argument("--tol", type=positive, default=None,
                           help="override every numeric tolerance "
                                "(default: per-check pinned values)")
     p_verify.add_argument("--format", choices=("text", "json"), default="text",
@@ -185,11 +186,11 @@ def _parser() -> argparse.ArgumentParser:
     p_cont.add_argument("--field", choices=sorted(FIELD_PRESETS),
                         help="one test-field preset (default: 'default' with "
                              "--model, else every preset)")
-    p_cont.add_argument("--beta", type=_positive, default=1.0)
-    p_cont.add_argument("--length", type=_positive, default=1.0)
-    p_cont.add_argument("--n0", type=_int_at_least(2), default=16,
+    p_cont.add_argument("--beta", type=positive, default=1.0)
+    p_cont.add_argument("--length", type=positive, default=1.0)
+    p_cont.add_argument("--n0", type=int_at_least(2), default=16,
                         help="coarsest site count of the halving ladder")
-    p_cont.add_argument("--levels", type=_int_at_least(2), default=4,
+    p_cont.add_argument("--levels", type=int_at_least(2), default=4,
                         help="number of ladder levels, at least 2 (default 4)")
     p_cont.add_argument("--kappa-list", default=None,
                         help="explicit comma-separated spacings (each is "

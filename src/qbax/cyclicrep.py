@@ -16,21 +16,22 @@ odd N the exponents 2j-1 sweep all residues mod N, so the representation
 degenerates (f loses invertibility) exactly when c = -q^r for some r;
 such c are rejected.
 
-The extended quantum-matrix algebra is represented by pulling back along
-the collapse homomorphism onto the oscillator: a = e, b = c = k,
-th = k^-1, d = f.  Both eta invariants th.b and th.c then become the
-identity matrix.
+The extended quantum-matrix algebra's matrices are read from the catalog's
+collapse map Q: the `pullback` of the oscillator (a = e, b = c = k,
+th = k^-1, d = f), so both eta invariants th.b and th.c are the identity;
+along Qp and Qpp the primed quotients are represented the same way.
 
-Everything else is generic numeric evaluation: relation residuals, and
-compiled exact polynomials.  Each generator matrix has one nonzero per row
-(Weyl's clock-and-shift form), so each word is a weighted column map of
+Everything else is evaluation of compiled exact polynomials: map images,
+rule residuals x.y - rhs (`rep_residuals`, keyed by rule word), and the
+exchange and transfer checks.  Each generator matrix has one nonzero per
+row (Weyl's clock-and-shift form), so each word is a weighted column map of
 (C^N)^(tensor n), cached per representation in layers of equal maps.  Each
 coefficient term compiles to its power of q and its monomial in the other
 variables; per value of q a program keeps one (monomials x words) table
 with q folded in, so a spectral point costs the powers of lam and mu and
 one product with the table.  On them rest the exact 4N x 4N exchange
 residual R12 L13 L23 - L23 L13 R12, transfer commutators taken layer by
-layer, and a Fourier charge fit.
+layer, and a charge fit from the transfer's word coefficients.
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ncpoly import NCPoly, Presentation
+from .catalog import MAPS
+from .coeff import Coefficient
+from .ncpoly import GenMap, NCPoly, Presentation
 from .lmatrices import (OpMatrix, L_qdst, monodromy, qdst_charges, rll_defect,
                         transfer)
 
@@ -54,6 +57,7 @@ __all__ = [
     "weyl_rep",
     "qosc_rep",
     "glq2ext_rep",
+    "pullback",
     "rep_residuals",
     "numeric_poly",
     "numeric_opmatrix",
@@ -79,10 +83,7 @@ def clock(N: int, q: complex) -> np.ndarray:
 
 def shift(N: int) -> np.ndarray:
     """V e_j = e_{j+1 mod N}: ones on the subdiagonal (and corner)."""
-    V = np.zeros((N, N), dtype=complex)
-    for j in range(N):
-        V[(j + 1) % N, j] = 1.0
-    return V
+    return np.roll(np.eye(N, dtype=complex), 1, axis=0)
 
 
 def weyl_rep(N: int, z: complex = 1.0) -> dict[str, np.ndarray]:
@@ -120,14 +121,7 @@ def qosc_rep(N: int, c: complex = 2.0 + 0.5j) -> dict[str, np.ndarray]:
 
 def glq2ext_rep(N: int, c: complex = 2.0 + 0.5j) -> dict[str, np.ndarray]:
     """Extended quantum-matrix generators through the oscillator collapse."""
-    osc = qosc_rep(N, c)
-    return {
-        "a": osc["e"],
-        "b": osc["k"],
-        "c": osc["k"],
-        "th": osc["kinv"],
-        "d": osc["f"],
-    }
+    return pullback(MAPS["Q"], qosc_rep(N, c))
 
 
 # --------------------------------------------------------------------------
@@ -276,9 +270,14 @@ def _evaluate(prog: _Program, rep: dict[str, np.ndarray],
 def _contract(prog: _Program, rep: dict[str, np.ndarray],
               values: dict) -> np.ndarray:
     """The compiled entries on (C^N)^(tensor n_sites) at each point, shape
+    (*P, K, D, D)."""
+    return _scatter(prog, *_evaluate(prog, rep, values))
+
+
+def _scatter(prog: _Program, maps: _Maps, coeff: np.ndarray) -> np.ndarray:
+    """The entries whose words have coefficients `coeff` (*P, W), shape
     (*P, K, D, D): one bincount of the words' weighted nonzeros into the
     result's float view."""
-    maps, coeff = _evaluate(prog, rep, values)
     (_, D), K = maps.weight.shape, len(prog.bounds) - 1
     size, P = 2 * K * D * D, math.prod(coeff.shape[:-1])
     val = (coeff[..., None] * maps.weight).view(float).reshape(-1)
@@ -309,32 +308,34 @@ def numeric_opmatrix(M: OpMatrix, rep: dict[str, np.ndarray], n_sites: int,
     return out.reshape(M.n, M.n, *out.shape[1:])
 
 
+@lru_cache(maxsize=32)
+def _image_program(m: GenMap) -> _Program:
+    return _compile(m.target, list(m.images.values()), 1)
+
+
+def pullback(m: GenMap, rep: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """m's source represented through m: each covered generator's matrix is
+    its image evaluated in `rep`, of m's target, at one site.  A two-leg map
+    or an image with a variable in a coefficient is refused."""
+    return dict(zip([m.source.gens[i] for i in m.images],
+                    _contract(_image_program(m), rep, {})))
+
+
+@lru_cache(maxsize=32)
+def _rule_program(alg: Presentation) -> _Program:
+    free, one = alg.free_copy(), Coefficient.one(alg.vars)
+    return _compile(free, [NCPoly(free, {((0, x), (0, y)): one} | {
+        tuple((0, g) for g in w): -c for w, c in rhs.items()},
+        normalized=True) for (x, y), rhs in alg.rules.items()], 1)
+
+
 def rep_residuals(alg: Presentation, rep: dict[str, np.ndarray],
                   q_val: complex) -> dict[str, float]:
-    """Max-norm residual of every defining relation (and unit pair) of alg.
-
-    Keys are human-readable: "f.e" for the rule rewriting the word f e, and
-    "k.kinv=1" / "kinv.k=1" for unit pairs.
-    """
-    mats = {name: rep[name] for name in alg.gens}
-    values = {"q": q_val, "lam": 1.0, "mu": 1.0}
-    out: dict[str, float] = {}
-    for (g1, g2), rhs in alg.rules.items():
-        lhs_num = mats[alg.gens[g1]] @ mats[alg.gens[g2]]
-        rhs_num = np.zeros_like(lhs_num)
-        for word, coeff in rhs.items():
-            m = np.eye(lhs_num.shape[0], dtype=complex)
-            for gi in word:
-                m = m @ mats[alg.gens[gi]]
-            rhs_num += complex(coeff.evaluate(values)) * m
-        out[f"{alg.gens[g1]}.{alg.gens[g2]}"] = float(
-            np.max(np.abs(lhs_num - rhs_num)))
-    eye = np.eye(next(iter(mats.values())).shape[0], dtype=complex)
-    for i, j in alg.unit_pairs:
-        gi, gj = alg.gens[i], alg.gens[j]
-        out[f"{gi}.{gj}=1"] = float(np.max(np.abs(mats[gi] @ mats[gj] - eye)))
-        out[f"{gj}.{gi}=1"] = float(np.max(np.abs(mats[gj] @ mats[gi] - eye)))
-    return out
+    """Max-norm residual x.y - rhs of every rule of alg, a unit pair's
+    x.y -> 1 and y.x -> 1 included, keyed by rule word ("f.e")."""
+    out = _contract(_rule_program(alg), rep, {"q": q_val})
+    return {f"{alg.gens[x]}.{alg.gens[y]}": float(r) for (x, y), r
+            in zip(alg.rules, np.abs(out).max((1, 2)))}
 
 
 # --------------------------------------------------------------------------
@@ -434,36 +435,26 @@ def qdst_charge_fit(alg: Presentation, rep: dict[str, np.ndarray],
                     n_sites: int, q_val: complex) -> dict[str, float]:
     """Laurent-coefficient fit of the self-trapping transfer matrix.
 
-    T(lam) is a Laurent polynomial of degree at most n_sites in lam; sampling
-    it on 2 n_sites + 1 roots of unity and taking the discrete Fourier
-    transform recovers the matrix coefficients exactly.  The lam^(-n) one
-    must equal the numeric charge Q and the lam^(2-n) one Q H.
+    T(lam) and each of its word coefficients are Laurent polynomials of
+    degree at most n_sites in lam: sampled on 2 n_sites + 1 roots of unity,
+    the coefficients' discrete Fourier transform recovers them exactly.  Only
+    the lam^(-n) and lam^(2-n) rows become matrices, to equal Q and Q H.
     """
-    n = n_sites
-    M = 2 * n + 1
-    sums = {-n: 0j, 2 - n: 0j}   # d -> M times the lam^d coefficient
-    for j in range(M):
-        T = transfer_num(L_qdst, alg, rep, n,
-                         cmath.exp(2j * math.pi * j / M), q_val)
-        for d in sums:
-            sums[d] += T * cmath.exp(-2j * math.pi * j * d / M)
-        del T   # one sample alive while the next one is built
-    Q, QH = _charge_programs(alg, n)
-    vals = _values(q_val, 1.0)
-    fit = {}
-    for key, d, charge in (("lam^-n vs Q", -n, Q),
-                           ("lam^(2-n) vs QH", 2 - n, QH)):
-        coeff = sums.pop(d)
-        coeff /= M
-        fit[key] = float(np.linalg.norm(
-            coeff - _contract(charge, rep, vals)[0]))
-    return fit
+    n, M = n_sites, 2 * n_sites + 1
+    j, prog = np.arange(M), _transfer_program(L_qdst, alg, n)
+    maps, coeff = _evaluate(prog, rep, _values(
+        q_val, np.exp(2j * math.pi * j / M)))   # (M, W)
+    rows = np.exp(-2j * math.pi * np.outer([-n, 2 - n], j) / M) @ coeff / M
+    charges = _contract(_charge_program(alg, n), rep, _values(q_val, 1.0))
+    return {key: float(np.linalg.norm(_scatter(prog, maps, row)[0] - charge))
+            for key, row, charge in zip(("lam^-n vs Q", "lam^(2-n) vs QH"),
+                                        rows, charges)}
 
 
 @lru_cache(maxsize=32)
-def _charge_programs(alg: Presentation, n_sites: int) -> tuple[_Program, ...]:
+def _charge_program(alg: Presentation, n_sites: int) -> _Program:
     Q, H = qdst_charges(alg, n_sites)
-    return _compile(alg, [Q], n_sites), _compile(alg, [Q * H], n_sites)
+    return _compile(alg, [Q, Q * H], n_sites)
 
 
 def spectral_points(seed: int | random.Random, count: int) -> np.ndarray:

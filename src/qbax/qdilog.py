@@ -308,6 +308,13 @@ def s_omega(x: complex, p: DilogParams) -> complex:
 # defect helpers
 # --------------------------------------------------------------------------
 
+def _params(omega: float, p: DilogParams | None) -> DilogParams:
+    # S comes from p and the closed forms from omega: they must agree
+    if p is not None and p.omega != omega:
+        raise DilogDomainError(f"p.omega = {p.omega!r} but omega = {omega!r}")
+    return p or DilogParams(omega)
+
+
 def _reals(names: str, *args, real: str = ""):
     """The arguments broadcast to one shape, each as a list of floats, and
     that shape, () for scalars.  Every value must be finite, and above 0
@@ -345,7 +352,7 @@ def check_shift(omega: float, x, p: DilogParams | None = None):
     """Relative defect of S(q^-1 x) == (1 + x) S(q x) at real x > 0, both
     sides on the line, so that x > 1 tests its own values rather than those
     at 1/x; past |log x| = 10 the line is inexact: invert."""
-    p = p or DilogParams(omega)
+    p = _params(omega, p)
     lq, ((xs,), shape) = p.log_q, _reals("x", x)
     ells = [math.log(v) for v in xs]
     s = s_omega_log([e - lq for e in ells] + [e + lq for e in ells], p,
@@ -358,7 +365,7 @@ def check_unitarity(omega: float, x, p: DilogParams | None = None):
     """Worse of | |S(x)| - 1 | and S(x) S(1/x) against the inversion phase for
     x > 0, both on the line, whose symmetric rule gives |S| = 1 at any step
     (the product can fail).  Past |log x| = 10 the line is inexact: invert."""
-    p = p or DilogParams(omega)
+    p = _params(omega, p)
     (xs,), shape = _reals("x", x)
     ells = [math.log(v) for v in xs]
     s = s_omega_log(ells + [-e for e in ells], p,
@@ -379,7 +386,7 @@ def check_self_dual(omega: float, s, p: DilogParams | None = None):
     the contour handling the two sides are evaluated on different lines
     with different steps.
     """
-    p = p or DilogParams(omega)
+    p = _params(omega, p)
     (ss,), shape = _reals("s", s, real="s")
     left = s_omega_log([2.0 * math.pi * omega * v for v in ss], p).tolist()
     # 1/omega > 1 is outside DilogParams: call the core on another line
@@ -420,7 +427,7 @@ def check_ssw(omega: float, w, t, p: DilogParams | None = None):
     form 1:  w^t == S(q^-t w) S(q^t /w) / ( S(q^t w) S(q^-t /w) )
     form 2:  w^t == q^(t^2) S(q^-2t w) S(q^2t /w) / ( S(w) S(1/w) )
     """
-    p = p or DilogParams(omega)
+    p = _params(omega, p)
     lq, ((ws, ts), shape) = p.log_q, _reals("w t", w, t, real="t")
     ells = [math.log(v) for v in ws]
     # S(e) S(-e), each on the line: the inversion relation makes it exact
@@ -461,7 +468,7 @@ def check_feq(feq_id: str, omega: float, lam, w,
     if feq_id not in _FEQS:
         raise ValueError(f"unknown functional equation id {feq_id!r}; "
                          f"known: {FEQ_IDS}")
-    p = p or DilogParams(omega)
+    p = _params(omega, p)
     (lams, ws), shape = _reals("lam w", lam, w)
     (k, c, sign, sides), q, lq = _FEQS[feq_id], p.q, p.log_q
     shift = sign * 2.0 * lq
@@ -487,7 +494,7 @@ def kernel_ratio_rv5_rv3(omega: float, lam, w, p: DilogParams | None = None):
     q-difference equation, so their ratio must not depend on w; by the
     power identity it equals exp(i log^2 lam / (4 pi omega^2)).
     """
-    p = p or DilogParams(omega)
+    p = _params(omega, p)
     (lams, ws), shape = _reals("lam w", lam, w)
     e = [(math.log(v), math.log(u)) for v, u in zip(ws, lams)]
     s = s_omega_log([z for ell, ll in e    # every S on the line, as in

@@ -276,6 +276,8 @@ def test_order_is_the_least_squares_slope(site_counts):
     report = continuum_check("liouville", site_counts=site_counts)
     slope = np.polyfit(np.log(report.kappas), np.log(report.errors), 1)[0]
     assert report.order == pytest.approx(slope, abs=1e-12)
+    # each level pair's order is its slope, whatever the spacing ratio
+    assert all(abs(o - report.order) <= 0.1 for o in report.orders)
 
 
 def test_equal_levels_are_refused():

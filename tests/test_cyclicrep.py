@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from qbax import cyclicrep
-from qbax.catalog import Aq, GLq2, GLq2Ext, Wq
+from qbax.algtext import load_maps
+from qbax.catalog import (ALGEBRAS, MAP_TEXT, MAPS, Aq, GLq2, GLq2Ext,
+                           GLq2ExtP, GLq2ExtPP, Wq)
 from qbax.coeff import Coefficient
 from qbax.cyclicrep import (
     _CACHED_REPS,
@@ -21,6 +23,7 @@ from qbax.cyclicrep import (
     monodromy_num,
     numeric_opmatrix,
     numeric_poly,
+    pullback,
     qdst_charge_fit,
     qosc_rep,
     rep_residuals,
@@ -33,7 +36,7 @@ from qbax.cyclicrep import (
     weyl_rep,
 )
 from qbax.lmatrices import (PAIRINGS, L_ext_hat, L_qdst, L_weyl, R_hat, R_sym,
-                            monodromy, rll_defect, transfer)
+                            monodromy, qdst_charges, rll_defect, transfer)
 from qbax.ncpoly import OpMatrix, Operator, random_poly
 from qbax.registry import _REP_FACTORIES
 
@@ -70,6 +73,56 @@ def test_relation_residuals(N):
         res = rep_residuals(alg, rep, q)
         worst = max(res.values())
         assert worst < 1e-12, f"{alg.name}: {res}"
+
+
+@pytest.mark.parametrize("N", [3, 5, 7])
+def test_glq2ext_rep_is_the_hand_written_collapse(N):
+    osc = qosc_rep(N)
+    want = {"a": osc["e"], "b": osc["k"], "c": osc["k"], "th": osc["kinv"],
+            "d": osc["f"]}
+    got = glq2ext_rep(N)
+    assert list(got) == list(want)
+    assert all(np.array_equal(got[g], want[g]) for g in want)
+
+
+@pytest.mark.parametrize("N", [3, 5, 7])
+def test_pullbacks_represent_the_primed_quotients(N):
+    q = root_of_unity(N)
+    for name, rep, alg, unit in (("Q", qosc_rep(N), GLq2ExtP, "b"),
+                                 ("Qpp", weyl_rep(N), GLq2ExtPP, "c")):
+        res = rep_residuals(alg, pullback(MAPS[name], rep), q)
+        assert {f"th.{unit}", f"{unit}.th"} <= set(res)   # th inverts unit
+        assert max(res.values()) < 1e-12, (name, res)
+
+
+def test_a_mutant_map_reaches_the_pullback():
+    # th -> k instead of kinv: th is no longer inverse to b
+    text = MAP_TEXT.replace("th -> kinv", "th -> k")
+    res = rep_residuals(GLq2ExtP, pullback(load_maps(text, ALGEBRAS)["Q"],
+                                           qosc_rep(5)), root_of_unity(5))
+    assert res["b.th"] > 1, res
+
+
+def test_pullback_refuses_two_legs_and_variable_coefficients():
+    with pytest.raises(ValueError, match=r"outside range\(1\)"):
+        pullback(MAPS["DeltaA"], qosc_rep(3))
+    with pytest.raises(KeyError, match="no numeric value"):
+        pullback(MAPS["scaleEF"], qosc_rep(3))
+
+
+def test_pullback_compiles_each_map_once(monkeypatch):
+    first = glq2ext_rep(3)
+    monkeypatch.setattr(cyclicrep, "_compile", lambda *a: pytest.fail(
+        "compiled again"))
+    again = glq2ext_rep(3)
+    assert all(np.array_equal(first[g], again[g]) for g in first)
+
+
+def test_relation_residuals_are_keyed_by_rule_word():
+    # a unit pair is two rules, k.kinv -> 1 and kinv.k -> 1: one key each
+    res = rep_residuals(Aq, qosc_rep(3), root_of_unity(3))
+    assert set(res) == {"k.kinv", "kinv.k", "k.e", "kinv.e", "f.e", "f.k",
+                        "f.kinv"}
 
 
 def test_glq2ext_eta_invariants_are_identity():
@@ -662,6 +715,38 @@ def test_charge_fit():
     fits = qdst_charge_fit(Aq, rep, 2, q)
     assert set(fits) == {"lam^-n vs Q", "lam^(2-n) vs QH"}
     assert max(fits.values()) < 1e-12
+
+
+def _charge_fit_by_samples(rep, n, q, charges):
+    """The dense fit: 2n+1 samples of T(lam), Fourier-transformed, against
+    the charges (Q, Q H)."""
+    M = 2 * n + 1
+    T = [transfer_num(L_qdst, Aq, rep, n, cmath.exp(2j * math.pi * j / M), q)
+         for j in range(M)]
+    vals = {"q": q, "lam": 1.0, "mu": 1.0}
+    return {key: np.linalg.norm(sum(T[j] * cmath.exp(-2j * math.pi * j * d / M)
+                                    for j in range(M)) / M
+                                - numeric_poly(charge, rep, n, vals))
+            for key, d, charge in (("lam^-n vs Q", -n, charges[0]),
+                                   ("lam^(2-n) vs QH", 2 - n, charges[1]))}
+
+
+@pytest.mark.parametrize("N, n", [(3, 2), (5, 2), (7, 2), (3, 3)])
+def test_charge_fit_matches_the_dense_fit(monkeypatch, N, n):
+    rep, q = qosc_rep(N), root_of_unity(N)
+    Q, H = qdst_charges(Aq, n)
+    got = qdst_charge_fit(Aq, rep, n, q)
+    want = _charge_fit_by_samples(rep, n, q, (Q, Q * H))
+    assert set(got) == set(want)
+    assert all(abs(got[k] - want[k]) <= 1e-13 for k in want), (got, want)
+    # with the charges swapped each row is compared with the other charge:
+    # an O(1) distance, which the two fits must still agree on
+    swapped = _compile(Aq, [Q * H, Q], n)
+    monkeypatch.setattr(cyclicrep, "_charge_program", lambda alg, n: swapped)
+    got = qdst_charge_fit(Aq, rep, n, q)
+    want = _charge_fit_by_samples(rep, n, q, (Q * H, Q))
+    assert min(want.values()) > 0.1, want
+    assert all(abs(got[k] - want[k]) <= 1e-13 * want[k] for k in want)
 
 
 def test_charge_fit_memory_is_a_few_dense_matrices():

@@ -403,6 +403,19 @@ def test_bad_input_is_refused_with_the_argument_named():
         check_self_dual(0.5, [0.1, float("-inf")], p)
 
 
+@pytest.mark.parametrize("check, args", [
+    (check_shift, (2.0,)), (check_unitarity, (2.0,)),
+    (check_self_dual, (0.1,)), (check_ssw, (2.0, 0.3)),
+    (lambda om, *a: check_feq("rw", om, *a), (1.3, 0.7)),
+    (kernel_ratio_rv5_rv3, (1.3, 0.7))],
+    ids=["shift", "unitarity", "self_dual", "ssw", "feq", "kernel_ratio"])
+def test_params_at_another_omega_are_refused(check, args):
+    # S would come from p at 0.7 and any closed form from omega = 0.5
+    with pytest.raises(DilogDomainError, match=r"0\.7.*0\.5"):
+        check(0.5, *args, DilogParams(0.7))
+    assert check(0.5, *args, DilogParams(0.5)) == check(0.5, *args)
+
+
 def test_scalar_checks_are_the_batched_elements_bit_for_bit():
     # each check evaluates its points together, on the line its slowest
     # member needs; points that share the line (and the inversion choice)

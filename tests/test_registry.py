@@ -257,6 +257,22 @@ def test_text_report_shape():
     assert "s)" in lines[0]
 
 
+def test_readme_sample_output_is_the_seed_0_run(full_report):
+    # README's "Typical output" block: its header, each check line and the
+    # count line are lines of the seed-0 text report, timings removed
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("Typical output:\n\n```\n", 1)[1].split("```", 1)[0]
+    timing = re.compile(r"  \(\d+\.\d\ds\)$")
+    untimed = [timing.sub("", line)
+               for line in full_report.to_text().splitlines()]
+    sample = [timing.sub("", line) for line in block.splitlines()
+              if line != "..."]
+    assert sample[0] == untimed[0] and sample[-1] == untimed[-1]
+    checks = sample[1:-1]
+    assert checks and all(line.startswith("[PASS] ") for line in checks)
+    assert [line for line in untimed if line in checks] == checks
+
+
 def test_json_report_shape_and_timing_flag():
     report = run_suite(pattern="classical-liouville-zero-point")
     payload = json.loads(report.to_json())
@@ -355,5 +371,5 @@ def test_numeric_negative_controls_fail_through_the_registrar():
     assert [r.status for r in results] == ["pass", "fail"] * 3
     mismatched, perturbed_rep, starved = results[1::2]
     assert "e+01 at L_weyl N=5 over 1 " in mismatched.summary   # about 23.8
-    assert " at f.e over 9 " in perturbed_rep.summary
+    assert " at f.e over 7 " in perturbed_rep.summary
     assert starved.summary.startswith("error: QuadratureError")
